@@ -33,6 +33,13 @@ else
   echo "==> tier-1: cargo build --release && cargo test -q"
   cargo build --offline --release
   cargo test --offline -q
+
+  # Benchmark smoke: every servebench workload in both trace modes for
+  # one second on a held-out seed, with the correctness gate and every
+  # declared metric checked (servebench/README.md, "Tests").
+  echo "==> servebench smoke"
+  cargo build --offline --release -p lcmm-cli
+  LCMM_BIN=target/release/lcmm cargo test --offline --release --manifest-path servebench/Cargo.toml
 fi
 
 echo "==> determinism: report output must be byte-identical across --jobs"

@@ -328,7 +328,7 @@ impl Harness {
     /// Fallible, cancellable variant of [`Harness::lcmm`]: the whole
     /// chain (design exploration → profile → pipeline) reports errors
     /// instead of panicking, and `cancel` is polled at every pass
-    /// boundary. This is the entry point the serve daemon uses.
+    /// boundary.
     pub fn try_lcmm(
         &self,
         graph: &Graph,
@@ -364,13 +364,10 @@ impl Harness {
         options: LcmmOptions,
         cancel: Option<&CancelToken>,
     ) -> Result<Arc<LcmmResult>, LcmmError> {
-        let pipeline = Pipeline::new(options);
-        let design = pipeline.lcmm_design(base.clone());
+        let design = Pipeline::new(options).lcmm_design(base.clone());
         let key = format!("{}\u{1}{}\u{1}{}", fp(graph), fp(&design), fp(&options));
         self.results.try_get_or_compute(key, || {
-            let profile = self.profile(graph, &design);
-            let result =
-                pipeline.run_with_profile_checked(graph, design.clone(), &profile, cancel)?;
+            let result = self.try_plan_with_design(graph, base, options, cancel)?;
             self.runs
                 .lock()
                 .expect("runs lock poisoned")
@@ -380,6 +377,26 @@ impl Harness {
                 });
             Ok(result)
         })
+    }
+
+    /// [`Harness::try_lcmm_with_design`] without its result memo: the
+    /// derated design's profile still comes from the shared profile
+    /// cache, but the result is neither stored nor counted in
+    /// `result_*`, and no run is logged for the `--profile` report. The
+    /// serve daemon's plan path runs this, because its own bounded plan
+    /// LRU is the result cache there and a harness copy of every
+    /// computed plan would grow without bound.
+    pub fn try_plan_with_design(
+        &self,
+        graph: &Graph,
+        base: &AccelDesign,
+        options: LcmmOptions,
+        cancel: Option<&CancelToken>,
+    ) -> Result<LcmmResult, LcmmError> {
+        let pipeline = Pipeline::new(options);
+        let design = pipeline.lcmm_design(base.clone());
+        let profile = self.profile(graph, &design);
+        pipeline.run_with_profile_checked(graph, design, &profile, cancel)
     }
 
     /// Budget-invariant delta-plan artifacts (passes 1–2 + gain-curve
@@ -580,6 +597,37 @@ mod tests {
         assert_eq!(via.latency, direct.latency);
         assert_eq!(via.residency, direct.residency);
         assert_eq!(via.chosen, direct.chosen);
+    }
+
+    #[test]
+    fn unmemoized_plan_matches_memoized_and_leaves_no_trace() {
+        let h = Harness::new(1);
+        let g = small_graph();
+        let base = h.design(&g, &Device::vu9p(), Precision::Fix16);
+        let options = LcmmOptions::default()
+            .with_tensor_budget(Some(base.tensor_sram_budget() / 2))
+            .with_weight_streaming(crate::StreamingMode::Auto);
+        let memoized = h
+            .try_lcmm_with_design(&g, &base, options, None)
+            .expect("feasible");
+        let before = h.cache_stats();
+        let runs_before = h.profile_report().runs.len();
+        let plain = h
+            .try_plan_with_design(&g, &base, options, None)
+            .expect("feasible");
+        assert_eq!(plain.latency.to_bits(), memoized.latency.to_bits());
+        assert_eq!(plain.residency, memoized.residency);
+        assert_eq!(plain.chosen, memoized.chosen);
+        assert_eq!(plain.weight_modes, memoized.weight_modes);
+        let after = h.cache_stats();
+        assert_eq!(after.result_hits, before.result_hits);
+        assert_eq!(after.result_misses, before.result_misses);
+        assert_eq!(h.profile_report().runs.len(), runs_before);
+        assert_eq!(
+            after.profile_hits,
+            before.profile_hits + 1,
+            "shared profile"
+        );
     }
 
     #[test]

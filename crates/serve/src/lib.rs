@@ -17,8 +17,7 @@
 //! * [`transport`] — the stdio loop and the readiness-polled TCP /
 //!   Unix-socket event loop;
 //! * [`client`] — the one-shot client behind `lcmm request`;
-//! * [`cache`], [`histogram`] — the plan LRU and `/stats` latency
-//!   histograms.
+//! * [`cache`] — the plan LRU.
 //!
 //! The wire protocol is documented in `docs/SERVE.md`. In-process use
 //! needs no socket at all:
@@ -38,7 +37,6 @@
 
 pub mod cache;
 pub mod client;
-pub mod histogram;
 pub mod protocol;
 pub mod server;
 pub mod transport;
@@ -46,7 +44,7 @@ pub mod wal;
 
 pub use cache::{CacheCounters, PlanCache};
 pub use client::{request, Endpoint};
-pub use histogram::LatencyHistogram;
+pub use lcmm_workload::histogram::LatencyHistogram;
 pub use protocol::{GraphSpec, Op, WireRequest, WireResponse};
 pub use server::{Server, ServerConfig};
 pub use transport::{serve_stdio, serve_tcp, serve_tcp_listener, serve_unix};

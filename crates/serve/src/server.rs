@@ -36,11 +36,11 @@ use lcmm_core::{CancelToken, Harness, LcmmError, PassStats};
 use lcmm_fpga::{Device, Precision};
 use lcmm_graph::Graph;
 use lcmm_multi::{coplan, coplan_summary, CoplanOptions, TenantSpec};
+use lcmm_workload::histogram::LatencyHistogram;
 use lcmm_workload::ControllerConfig;
 use serde_json::Value;
 
 use crate::cache::PlanCache;
-use crate::histogram::LatencyHistogram;
 use crate::lock_safe;
 use crate::protocol::{
     pass_stats_value, plan_summary, precision_name, GraphSpec, Op, ResolvedPlan, WireRequest,
@@ -1269,7 +1269,7 @@ fn process_plan(inner: &Arc<Inner>, job: &Job) -> String {
             Err(err) => return answer_err(&err),
         };
     let umm = inner.harness.baseline_from_design(&resolved.graph, &design);
-    let result = match inner.harness.try_lcmm_with_design(
+    let result = match inner.harness.try_plan_with_design(
         &resolved.graph,
         &design,
         resolved.options,

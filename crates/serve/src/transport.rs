@@ -1,40 +1,44 @@
 //! Line-oriented transports: stdin/stdout (tests, pipelines) over the
 //! blocking [`Server::handle_line`], and TCP / Unix-socket serving via
-//! a readiness-polled event loop over [`Server::handle_line_async`].
+//! a readiness-driven event loop over [`Server::handle_line_async`].
 //!
-//! The event loop replaces the old thread-per-connection design. One
-//! transport thread owns every socket: it accepts non-blockingly,
-//! reads whatever bytes are available into per-connection buffers,
-//! hands complete lines to the server (which answers inline or from a
-//! worker thread through a completion channel), and writes responses
-//! back as sockets accept them. A slow, stalled, or disconnected
-//! client therefore costs a buffer, not a thread — and a write error
-//! tears down that one connection, never the acceptor.
+//! One transport thread owns every socket and sleeps in `poll(2)` until
+//! something is ready: a connection pending on the listener, a
+//! connection the loop wants to read from or write to, or a completion.
+//! It accepts non-blockingly, reads whatever bytes are available into
+//! per-connection buffers, hands complete lines to the server (which
+//! answers inline or from a worker thread through a completion
+//! channel), and writes responses back as sockets accept them. Every
+//! completion is sent on the channel and then rings a wake socket that
+//! the loop polls, so neither a request nor a finished plan waits on a
+//! clock. A slow, stalled, or disconnected client costs a buffer, not a
+//! thread — and a write error tears down that one connection, never the
+//! acceptor.
 //!
 //! Backpressure is per client, in both directions: a connection with
 //! `MAX_PIPELINE` requests in flight or more than `SOFT_WRITE_CAP`
 //! unsent response bytes is not read from until it drains, and one
-//! that ignores its responses past `HARD_WRITE_CAP` is dropped.
+//! that ignores its responses past `HARD_WRITE_CAP` is dropped. Such a
+//! throttled connection, like a half-closed one, is polled only while
+//! it has unsent bytes, and then only for writing, so an idle or
+//! hung-up peer never makes `poll` return.
 //!
 //! All loops end the same way: a `{"op":"shutdown"}` request (or input
 //! EOF on stdio) flips the server into draining mode, in-flight work
 //! finishes and is flushed to its clients, workers join, and the
-//! function returns.
+//! function returns. A `poll` failure other than `EINTR` ends a socket
+//! loop early: its connections close, the server shuts down (workers
+//! join), and the error is returned.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
-use std::sync::mpsc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc};
 
 use crate::server::{Server, ServerConfig};
-
-/// How long the event loop parks waiting for completions before
-/// re-polling sockets. Bounds idle latency, not request latency —
-/// completions wake the loop immediately through the channel.
-const TICK: Duration = Duration::from_millis(2);
 
 /// Requests one connection may have in flight before the loop stops
 /// reading from it.
@@ -85,7 +89,8 @@ pub fn serve_stdio(config: ServerConfig) -> io::Result<()> {
 ///
 /// # Errors
 ///
-/// Propagates bind failures and WAL startup failures.
+/// Propagates bind failures, WAL startup failures and event-loop
+/// `poll` failures.
 pub fn serve_tcp(config: ServerConfig, addr: &str) -> io::Result<()> {
     let listener = TcpListener::bind(addr)?;
     println!("listening {}", listener.local_addr()?);
@@ -98,20 +103,14 @@ pub fn serve_tcp(config: ServerConfig, addr: &str) -> io::Result<()> {
 ///
 /// # Errors
 ///
-/// Propagates listener configuration and WAL startup failures.
+/// Propagates listener configuration, WAL startup and event-loop
+/// `poll` failures.
 pub fn serve_tcp_listener(config: ServerConfig, listener: TcpListener) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     let server = Server::try_start(config)?;
-    event_loop(&server, &|| match listener.accept() {
-        Ok((stream, _)) => {
-            stream.set_nonblocking(true)?;
-            Ok(Some(Box::new(stream) as Box<dyn Stream>))
-        }
-        Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-        Err(e) => Err(e),
-    });
+    let served = event_loop(&server, &listener);
     server.shutdown();
-    Ok(())
+    served
 }
 
 /// Serves JSON-lines over a Unix domain socket at `path` (an existing
@@ -120,7 +119,8 @@ pub fn serve_tcp_listener(config: ServerConfig, listener: TcpListener) -> io::Re
 ///
 /// # Errors
 ///
-/// Propagates bind failures and WAL startup failures.
+/// Propagates bind failures, WAL startup failures and event-loop
+/// `poll` failures.
 pub fn serve_unix(config: ServerConfig, path: &Path) -> io::Result<()> {
     if path.exists() {
         std::fs::remove_file(path)?;
@@ -130,25 +130,42 @@ pub fn serve_unix(config: ServerConfig, path: &Path) -> io::Result<()> {
     println!("listening {}", path.display());
     io::stdout().flush()?;
     let server = Server::try_start(config)?;
-    event_loop(&server, &|| match listener.accept() {
-        Ok((stream, _)) => {
-            stream.set_nonblocking(true)?;
-            Ok(Some(Box::new(stream) as Box<dyn Stream>))
-        }
-        Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-        Err(e) => Err(e),
-    });
+    let served = event_loop(&server, &listener);
     server.shutdown();
     let _ = std::fs::remove_file(path);
-    Ok(())
+    served
 }
 
 /// The two stream types, unified for the event loop. Streams are
 /// switched to non-blocking before entering the loop.
-trait Stream: io::Read + io::Write + Send {}
+trait Stream: io::Read + io::Write + AsRawFd + Send {}
 
 impl Stream for TcpStream {}
 impl Stream for UnixStream {}
+
+/// The two listener types, unified for the event loop. Listeners are
+/// switched to non-blocking before entering the loop.
+trait Listener: AsRawFd {
+    /// Accepts one pending connection as a non-blocking stream;
+    /// `WouldBlock` when none is pending.
+    fn accept_stream(&self) -> io::Result<Box<dyn Stream>>;
+}
+
+impl Listener for TcpListener {
+    fn accept_stream(&self) -> io::Result<Box<dyn Stream>> {
+        let (stream, _) = self.accept()?;
+        stream.set_nonblocking(true)?;
+        Ok(Box::new(stream))
+    }
+}
+
+impl Listener for UnixListener {
+    fn accept_stream(&self) -> io::Result<Box<dyn Stream>> {
+        let (stream, _) = self.accept()?;
+        stream.set_nonblocking(true)?;
+        Ok(Box::new(stream))
+    }
+}
 
 /// One live connection's event-loop state.
 struct Connection {
@@ -168,7 +185,7 @@ struct Connection {
     ready: BTreeMap<u64, String>,
     /// Peer sent EOF; drain what is owed, then drop.
     read_closed: bool,
-    /// Tear down at the end of the tick (write error, overflow).
+    /// Tear down at the end of the iteration (write error, overflow).
     dead: bool,
 }
 
@@ -194,6 +211,28 @@ impl Connection {
     /// True when nothing is owed to the peer any more.
     fn drained(&self) -> bool {
         self.in_flight() == 0 && self.write_buf.is_empty()
+    }
+
+    /// True while the loop must not read from this connection:
+    /// backpressure, or the peer already sent EOF.
+    fn throttled(&self) -> bool {
+        self.in_flight() >= MAX_PIPELINE
+            || self.write_buf.len() > SOFT_WRITE_CAP
+            || self.read_closed
+    }
+
+    /// What the loop waits for on this socket: reads unless throttled,
+    /// writes while responses are unsent. `0` leaves it out of the
+    /// poll set.
+    fn interest(&self) -> sys::Events {
+        let mut events = 0;
+        if !self.throttled() {
+            events |= sys::POLLIN;
+        }
+        if !self.write_buf.is_empty() {
+            events |= sys::POLLOUT;
+        }
+        events
     }
 
     /// Moves consecutively-ready responses into the write buffer.
@@ -232,25 +271,74 @@ impl Connection {
 /// or shutdown) back to the event loop: `(connection, seq, line)`.
 type Completion = (u64, u64, String);
 
-/// The readiness-polled serving loop: one thread, every socket.
+/// Where completions travel: the channel, plus a socket pair whose read
+/// end the loop polls. Callbacks and the loop share one `Arc`, so the
+/// read end stays open while any callback could still write to it.
+struct Completions {
+    tx: mpsc::Sender<Completion>,
+    wake_rx: UnixStream,
+    wake_tx: UnixStream,
+}
+
+impl Completions {
+    fn new(tx: mpsc::Sender<Completion>) -> io::Result<Self> {
+        let (wake_rx, wake_tx) = UnixStream::pair()?;
+        wake_rx.set_nonblocking(true)?;
+        wake_tx.set_nonblocking(true)?;
+        Ok(Self {
+            tx,
+            wake_rx,
+            wake_tx,
+        })
+    }
+
+    /// Queues `completion` for the loop and wakes it. The send comes
+    /// first, so a completion that lands between the loop's channel
+    /// drain and its `poll` still finds a wake byte waiting.
+    fn deliver(&self, completion: Completion) {
+        // The loop may have exited already; then nobody is listening
+        // and the send result is moot.
+        let _ = self.tx.send(completion);
+        // `WouldBlock`: the socket is full, so a wake is already pending.
+        while let Err(e) = (&self.wake_tx).write(&[1]) {
+            if e.kind() != io::ErrorKind::Interrupted {
+                break;
+            }
+        }
+    }
+
+    /// Consumes every pending wake byte.
+    fn drain_wakes(&self) {
+        let mut buf = [0u8; 256];
+        loop {
+            match (&self.wake_rx).read(&mut buf) {
+                Ok(n) if n > 0 => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                _ => return,
+            }
+        }
+    }
+}
+
+/// The readiness-driven serving loop: one thread, every socket.
 ///
-/// `accept` returns `Ok(None)` when no connection is pending. The loop
-/// runs until the server enters shutdown *and* every connection has
-/// been paid what it is owed (so the response to the shutdown request
-/// itself, and anything in flight, still reaches its client).
-fn event_loop(server: &Server, accept: &dyn Fn() -> io::Result<Option<Box<dyn Stream>>>) {
+/// The loop runs until the server enters shutdown *and* every
+/// connection has been paid what it is owed (so the response to the
+/// shutdown request itself, and anything in flight, still reaches its
+/// client), or until `poll` fails.
+fn event_loop(server: &Server, listener: &dyn Listener) -> io::Result<()> {
     let (tx, rx) = mpsc::channel::<Completion>();
+    let completions = Arc::new(Completions::new(tx)?);
     let mut conns: HashMap<u64, Connection> = HashMap::new();
     let mut next_conn_id: u64 = 0;
     let mut scratch = [0u8; 64 * 1024];
+    let mut poll_set = Vec::new();
     loop {
-        let mut active = false;
         // 1. Admit new connections (unless draining).
         if !server.is_shutting_down() {
-            while let Ok(Some(stream)) = accept() {
+            while let Ok(stream) = listener.accept_stream() {
                 conns.insert(next_conn_id, Connection::new(stream));
                 next_conn_id += 1;
-                active = true;
             }
         }
         // 2. Collect completed responses. Completions for connections
@@ -260,7 +348,6 @@ fn event_loop(server: &Server, accept: &dyn Fn() -> io::Result<Option<Box<dyn St
                 conn.ready.insert(seq, line);
                 conn.release_ready();
             }
-            active = true;
         }
         // 3. Pump every socket: write what is owed, read what is
         // offered, respecting per-client backpressure.
@@ -268,22 +355,17 @@ fn event_loop(server: &Server, accept: &dyn Fn() -> io::Result<Option<Box<dyn St
             if conn.dead {
                 continue;
             }
-            let before = conn.write_buf.len();
             if !conn.flush_some() {
                 // The write-error bugfix: a disconnected client kills
                 // its own connection, never the serving loop.
                 conn.dead = true;
                 continue;
             }
-            active |= conn.write_buf.len() != before;
             if conn.write_buf.len() > HARD_WRITE_CAP {
                 conn.dead = true;
                 continue;
             }
-            let throttled = conn.in_flight() >= MAX_PIPELINE
-                || conn.write_buf.len() > SOFT_WRITE_CAP
-                || conn.read_closed;
-            if throttled {
+            if conn.throttled() {
                 continue;
             }
             loop {
@@ -293,12 +375,12 @@ fn event_loop(server: &Server, accept: &dyn Fn() -> io::Result<Option<Box<dyn St
                         break;
                     }
                     Ok(n) => {
-                        active = true;
                         conn.read_buf.extend_from_slice(&scratch[..n]);
                         if conn.read_buf.len() > MAX_LINE {
                             conn.dead = true;
                         }
-                        break; // process what we have; read again next tick
+                        // Process what we have; `poll` reports the rest.
+                        break;
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -322,16 +404,11 @@ fn event_loop(server: &Server, accept: &dyn Fn() -> io::Result<Option<Box<dyn St
                 }
                 let seq = conn.next_seq;
                 conn.next_seq += 1;
-                let tx = tx.clone();
+                let completions = Arc::clone(&completions);
                 server.handle_line_async(
                     &line,
-                    Box::new(move |response| {
-                        // The loop may have exited already; then nobody
-                        // is listening and the send result is moot.
-                        let _ = tx.send((conn_id, seq, response));
-                    }),
+                    Box::new(move |response| completions.deliver((conn_id, seq, response))),
                 );
-                active = true;
             }
         }
         // 4. Reap: dead connections immediately, half-closed ones once
@@ -339,15 +416,89 @@ fn event_loop(server: &Server, accept: &dyn Fn() -> io::Result<Option<Box<dyn St
         conns.retain(|_, conn| !(conn.dead || conn.read_closed && conn.drained()));
         // 5. Exit once draining is complete.
         if server.is_shutting_down() && conns.values().all(Connection::drained) {
-            return;
+            return Ok(());
         }
-        // 6. Park until a completion arrives or the next poll tick.
-        if !active {
-            if let Ok((conn_id, seq, line)) = rx.recv_timeout(TICK) {
-                if let Some(conn) = conns.get_mut(&conn_id) {
-                    conn.ready.insert(seq, line);
-                    conn.release_ready();
-                }
+        // 6. Sleep until the wake socket, the listener (unless
+        // draining) or a connection with an interest is ready.
+        poll_set.clear();
+        poll_set.push(sys::PollFd::new(
+            completions.wake_rx.as_raw_fd(),
+            sys::POLLIN,
+        ));
+        if !server.is_shutting_down() {
+            poll_set.push(sys::PollFd::new(listener.as_raw_fd(), sys::POLLIN));
+        }
+        for conn in conns.values() {
+            let events = conn.interest();
+            if events != 0 {
+                poll_set.push(sys::PollFd::new(conn.stream.as_raw_fd(), events));
+            }
+        }
+        sys::wait(&mut poll_set)?;
+        completions.drain_wakes();
+    }
+}
+
+/// `poll(2)`, the crate's one foreign call, from the C library std
+/// already links.
+mod sys {
+    use std::io;
+    use std::os::raw::{c_int, c_short};
+    use std::os::unix::io::RawFd;
+
+    /// The C `nfds_t`.
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type Nfds = std::os::raw::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type Nfds = std::os::raw::c_uint;
+
+    /// A `poll` event mask.
+    pub(super) type Events = c_short;
+    /// Readable, or for a listener a connection pending.
+    pub(super) const POLLIN: Events = 0x1;
+    /// Writable.
+    pub(super) const POLLOUT: Events = 0x4;
+
+    /// The C `struct pollfd`. `revents` is written by the kernel and
+    /// not read back: the loop retries every socket after a wake-up.
+    #[repr(C)]
+    pub(super) struct PollFd {
+        fd: c_int,
+        events: Events,
+        revents: Events,
+    }
+
+    impl PollFd {
+        pub(super) fn new(fd: RawFd, events: Events) -> Self {
+            Self {
+                fd,
+                events,
+                revents: 0,
+            }
+        }
+    }
+
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+    }
+
+    /// Blocks until one of `fds` is ready or reports an error or
+    /// hang-up, with no timeout; `EINTR` retries.
+    pub(super) fn wait(fds: &mut [PollFd]) -> io::Result<()> {
+        let nfds = Nfds::try_from(fds.len())
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "poll set too large"))?;
+        loop {
+            // SAFETY: `fds` is an exclusively borrowed slice of
+            // `#[repr(C)]` `struct pollfd` values and `nfds` is its
+            // length, so the kernel reads and writes only inside it and
+            // only during the call. A descriptor that is not open is
+            // reported as `POLLNVAL`, not undefined behaviour.
+            if unsafe { poll(fds.as_mut_ptr(), nfds, -1) } >= 0 {
+                return Ok(());
+            }
+            let err = io::Error::last_os_error();
+            if err.kind() != io::ErrorKind::Interrupted {
+                return Err(err);
             }
         }
     }

@@ -351,3 +351,46 @@ fn bad_requests_keep_the_daemon_alive() {
     assert_eq!(ok.get("ok").and_then(Value::as_bool), Some(true));
     server.shutdown();
 }
+
+/// Computed plans are not memoized in the harness: the plan LRU is the
+/// daemon's only result cache, so budget-only variants of one request
+/// leave `stats.harness.result_misses` at 0 instead of growing it by
+/// one retained result each.
+#[test]
+fn computed_plans_are_not_memoized_in_the_harness() {
+    let server = Server::start(ServerConfig::default().with_workers(1));
+    for budget in [1u64 << 20, 2 << 20, 3 << 20] {
+        let v = parse(&server.handle_line(&format!(
+            r#"{{"graph":"alexnet","options":{{"tensor_budget":{budget}}}}}"#
+        )));
+        assert_eq!(v.get("cached").and_then(Value::as_bool), Some(false));
+    }
+    assert_eq!(stat_u64(&server, "harness", "result_misses"), 0);
+    assert_eq!(stat_u64(&server, "harness", "result_hits"), 0);
+    server.shutdown();
+}
+
+/// With the harness no longer holding results, a request whose plan-LRU
+/// entry was evicted is planned again from scratch; the reply must be
+/// byte-identical to the first one.
+#[test]
+fn evicted_plan_recomputes_byte_identically() {
+    let server = Server::start(
+        ServerConfig::default()
+            .with_workers(1)
+            .with_cache_capacity(1),
+    );
+    let line =
+        r#"{"graph":"alexnet","options":{"weight_streaming":"auto","tensor_budget":1048576}}"#;
+    let first = server.handle_line(line);
+    server.handle_line(r#"{"graph":"squeezenet"}"#);
+    assert_eq!(stat_u64(&server, "cache", "evictions"), 1);
+    let again = server.handle_line(line);
+    assert_eq!(
+        parse(&again).get("cached").and_then(Value::as_bool),
+        Some(false),
+        "the entry was evicted, so the plan is computed again"
+    );
+    assert_eq!(again, first);
+    server.shutdown();
+}

@@ -1,12 +1,12 @@
 //! Event-loop transport tests over real TCP sockets: ordered
 //! pipelining, half-close draining, mid-response disconnects under
-//! load, and a clean shutdown handshake.
+//! load, wake-up latency, and a clean shutdown handshake.
 
 use lcmm_serve::{serve_tcp_listener, ServerConfig};
 use serde_json::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Boots a daemon on an ephemeral port; returns its address and the
 /// serving thread (joined by `stop`).
@@ -140,5 +140,102 @@ fn concurrent_connections_multiplex_on_one_event_loop() {
     for client in clients {
         client.join().expect("client thread");
     }
+    stop(addr, handle);
+}
+
+/// Sends `count` pings on `conn`, one outstanding at a time, and
+/// returns how long they took in total.
+fn ping_round_trips(conn: &TcpStream, count: u64) -> Duration {
+    let mut writer = conn;
+    let mut reader = BufReader::new(conn);
+    let mut line = String::new();
+    let start = Instant::now();
+    for id in 0..count {
+        writer
+            .write_all(format!("{{\"op\":\"ping\",\"id\":{id}}}\n").as_bytes())
+            .expect("send");
+        line.clear();
+        reader.read_line(&mut line).expect("pong");
+        assert!(line.contains("\"pong\":true"), "{line}");
+    }
+    start.elapsed()
+}
+
+#[test]
+fn back_to_back_pings_are_not_paced_by_a_clock() {
+    let (addr, handle) = boot(ServerConfig::default().with_workers(1));
+    let conn = connect(addr);
+    // A request that arrives while the loop sleeps must wake it at
+    // once: 500 sequential round trips take well under 0.5 ms each,
+    // where a loop that re-polls on a 2 ms tick needs about a second.
+    let elapsed = ping_round_trips(&conn, 500);
+    assert!(
+        elapsed < Duration::from_millis(250),
+        "500 pings took {elapsed:?}"
+    );
+    stop(addr, handle);
+}
+
+/// CPU time (user + system) the calling process's thread `tid` has
+/// used so far, from `/proc`.
+#[cfg(target_os = "linux")]
+fn thread_cpu(tid: &str) -> Duration {
+    let stat = std::fs::read_to_string(format!("/proc/self/task/{tid}/stat")).expect("stat");
+    // Fields after the parenthesised command name start at `state`;
+    // utime and stime follow ten fields later, in 1/100 s ticks.
+    let fields: Vec<&str> = stat[stat.rfind(')').expect("comm") + 2..]
+        .split_whitespace()
+        .collect();
+    let ticks: u64 =
+        fields[11].parse::<u64>().expect("utime") + fields[12].parse::<u64>().expect("stime");
+    Duration::from_millis(ticks * 10)
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn client_hanging_up_mid_plan_neither_stalls_nor_spins_the_loop() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let (tid_tx, tid_rx) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        // `/proc/thread-self` links to `<pid>/task/<tid>` of the thread
+        // that reads it: the one about to run the event loop.
+        let link = std::fs::read_link("/proc/thread-self").expect("thread-self");
+        let tid = link
+            .file_name()
+            .expect("tid")
+            .to_string_lossy()
+            .into_owned();
+        tid_tx.send(tid).expect("send tid");
+        let config = ServerConfig::default()
+            .with_workers(2)
+            .with_debug_hooks(true);
+        serve_tcp_listener(config, listener).expect("serve");
+    });
+    let tid = tid_rx.recv().expect("serving thread id");
+    // The first client submits a plan that computes for 1.5 s and
+    // hangs up at once: its socket then stays readable (at EOF) for as
+    // long as the plan runs.
+    let mut gone = connect(addr);
+    gone.write_all(b"{\"graph\":\"debug:stall:1500\",\"id\":1}\n")
+        .expect("send");
+    drop(gone);
+    // A second client must still get prompt answers...
+    let conn = connect(addr);
+    let elapsed = ping_round_trips(&conn, 100);
+    assert!(
+        elapsed < Duration::from_millis(250),
+        "100 pings took {elapsed:?}"
+    );
+    // ...and while it idles, the loop must sleep rather than spin on
+    // the dead peer's socket.
+    let before = thread_cpu(&tid);
+    std::thread::sleep(Duration::from_millis(500));
+    let burnt = thread_cpu(&tid) - before;
+    assert!(
+        burnt < Duration::from_millis(100),
+        "idle loop used {burnt:?} of CPU in 500 ms"
+    );
+    drop(conn);
     stop(addr, handle);
 }
