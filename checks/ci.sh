@@ -34,6 +34,12 @@ else
   cargo build --offline --release
   cargo test --offline -q
 
+  # The root manifest's default members are only the `lcmm` package, so
+  # the tier-1 step above skips every crate's unit tests and the crate
+  # suites (serve, core props, multi, workload). Run them all here too.
+  echo "==> cargo test --workspace"
+  cargo test --offline --workspace -q
+
   # Benchmark smoke: every servebench workload in both trace modes for
   # one second on a held-out seed, with the correctness gate and every
   # declared metric checked (servebench/README.md, "Tests").

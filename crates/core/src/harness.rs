@@ -7,16 +7,17 @@
 //! them three things:
 //!
 //! 1. **Memoization** — every artefact is cached behind a concurrent
-//!    map keyed by a deterministic JSON fingerprint of its inputs, so
-//!    e.g. the three Fig. 8 ablation variants share one profile of the
-//!    common derated design.
+//!    map keyed by a deterministic JSON fingerprint of its inputs (for
+//!    the graph, its memoized [`Graph::fingerprint`]), so e.g. the
+//!    three Fig. 8 ablation variants share one profile of the common
+//!    derated design.
 //! 2. **Parallelism** — [`Harness::par_map`] fans a work list out over
 //!    `jobs` OS threads while preserving input order, so report output
 //!    is byte-identical between `--jobs 1` and any parallel run (the
 //!    cached artefacts themselves are deterministic values; only *who*
 //!    computes them varies).
-//! 3. **Instrumentation** — each pipeline run's [`PassStats`] is
-//!    recorded under a human-readable label, and cache hit/miss
+//! 3. **Instrumentation** — each memoized result keeps its run's
+//!    [`PassStats`] under a human-readable label, and cache hit/miss
 //!    counters are tracked per artefact kind ([`Harness::profile_report`]).
 //!
 //! Thread fan-out uses `std::thread::scope`; the crate deliberately has
@@ -104,6 +105,17 @@ impl<T> Cache<T> {
         }
     }
 
+    /// Every stored value, in key order.
+    fn values(&self) -> Vec<Arc<T>> {
+        let map = self.map.lock().expect("cache lock poisoned");
+        let mut entries: Vec<_> = map.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        entries
+            .into_iter()
+            .filter_map(|(_, cell)| cell.get().cloned())
+            .collect()
+    }
+
     /// Drops every entry whose key starts with `prefix`, returning how
     /// many were removed. Every harness key starts with the graph's
     /// fingerprint followed by `\u{1}`, so a graph-fingerprint prefix
@@ -165,8 +177,17 @@ pub struct HarnessProfile {
     pub jobs: usize,
     /// Artefact-cache hit/miss counters.
     pub cache: CacheStats,
-    /// Every pipeline run, sorted by label for stable output.
+    /// The run behind every memoized LCMM result, sorted by label for
+    /// stable output.
     pub runs: Vec<RunRecord>,
+}
+
+/// A memoized LCMM result with the label of the run that computed it.
+/// Keeping the label beside the result makes the `--profile` run log a
+/// view of the result cache, so evicting a result drops its record.
+struct MemoRun {
+    label: String,
+    result: Arc<LcmmResult>,
 }
 
 /// The parallel, memoized evaluation harness.
@@ -175,9 +196,8 @@ pub struct Harness {
     designs: Cache<AccelDesign>,
     profiles: Cache<GraphProfile>,
     baselines: Cache<UmmBaseline>,
-    results: Cache<LcmmResult>,
+    results: Cache<MemoRun>,
     artifacts: Cache<PlanArtifacts>,
-    runs: Mutex<Vec<RunRecord>>,
 }
 
 impl std::fmt::Debug for Harness {
@@ -190,7 +210,8 @@ impl std::fmt::Debug for Harness {
 
 /// Deterministic JSON fingerprint of a cache-key part. The vendored
 /// serializer emits maps and sets in sorted order, so equal values
-/// always fingerprint identically.
+/// always fingerprint identically. Graphs use their memoized
+/// [`Graph::fingerprint`] instead, which is the same bytes.
 fn fp<T: Serialize>(value: &T) -> String {
     serde_json::to_string(value).unwrap_or_else(|e| format!("<unserializable:{e}>"))
 }
@@ -220,7 +241,6 @@ impl Harness {
             baselines: Cache::new(),
             results: Cache::new(),
             artifacts: Cache::new(),
-            runs: Mutex::new(Vec::new()),
         }
     }
 
@@ -280,7 +300,12 @@ impl Harness {
         device: &Device,
         precision: Precision,
     ) -> Result<Arc<AccelDesign>, LcmmError> {
-        let key = format!("{}\u{1}{}\u{1}{}", fp(graph), fp(device), fp(&precision));
+        let key = format!(
+            "{}\u{1}{}\u{1}{}",
+            graph.fingerprint(),
+            fp(device),
+            fp(&precision)
+        );
         self.designs.try_get_or_compute(key, || {
             AccelDesign::try_explore(graph, device, precision).map_err(LcmmError::BudgetInfeasible)
         })
@@ -288,7 +313,7 @@ impl Harness {
 
     /// The operation latency table of `design` on `graph`, memoized.
     pub fn profile(&self, graph: &Graph, design: &AccelDesign) -> Arc<GraphProfile> {
-        let key = format!("{}\u{1}{}", fp(graph), fp(design));
+        let key = format!("{}\u{1}{}", graph.fingerprint(), fp(design));
         self.profiles.get_or_compute(key, || design.profile(graph))
     }
 
@@ -307,7 +332,7 @@ impl Harness {
     /// The UMM baseline of an explicit design (batch studies, granular
     /// DDR variants), memoized.
     pub fn baseline_from_design(&self, graph: &Graph, design: &AccelDesign) -> Arc<UmmBaseline> {
-        let key = format!("{}\u{1}{}", fp(graph), fp(design));
+        let key = format!("{}\u{1}{}", graph.fingerprint(), fp(design));
         self.baselines
             .get_or_compute(key, || UmmBaseline::from_design(graph, design.clone()))
     }
@@ -365,24 +390,26 @@ impl Harness {
         cancel: Option<&CancelToken>,
     ) -> Result<Arc<LcmmResult>, LcmmError> {
         let design = Pipeline::new(options).lcmm_design(base.clone());
-        let key = format!("{}\u{1}{}\u{1}{}", fp(graph), fp(&design), fp(&options));
-        self.results.try_get_or_compute(key, || {
+        let key = format!(
+            "{}\u{1}{}\u{1}{}",
+            graph.fingerprint(),
+            fp(&design),
+            fp(&options)
+        );
+        let run = self.results.try_get_or_compute::<LcmmError>(key, || {
             let result = self.try_plan_with_design(graph, base, options, cancel)?;
-            self.runs
-                .lock()
-                .expect("runs lock poisoned")
-                .push(RunRecord {
-                    label: run_label(graph, &design, &options),
-                    stats: result.stats,
-                });
-            Ok(result)
-        })
+            Ok(MemoRun {
+                label: run_label(graph, &design, &options),
+                result: Arc::new(result),
+            })
+        })?;
+        Ok(Arc::clone(&run.result))
     }
 
     /// [`Harness::try_lcmm_with_design`] without its result memo: the
     /// derated design's profile still comes from the shared profile
     /// cache, but the result is neither stored nor counted in
-    /// `result_*`, and no run is logged for the `--profile` report. The
+    /// `result_*`, so it does not appear in the `--profile` report. The
     /// serve daemon's plan path runs this, because its own bounded plan
     /// LRU is the result cache there and a harness copy of every
     /// computed plan would grow without bound.
@@ -414,13 +441,18 @@ impl Harness {
     ) -> Result<Arc<PlanArtifacts>, LcmmError> {
         let options = options.with_tensor_budget(None);
         let design = Pipeline::new(options).lcmm_design(base.clone());
-        let key = format!("{}\u{1}{}\u{1}{}", fp(graph), fp(&design), fp(&options));
+        let key = format!(
+            "{}\u{1}{}\u{1}{}",
+            graph.fingerprint(),
+            fp(&design),
+            fp(&options)
+        );
         self.artifacts_keyed(key, graph, &design, options, cancel)
     }
 
     /// [`Harness::try_artifacts`] with a precomputed cache key, so
     /// callers that already fingerprinted the request (the replan hot
-    /// path) do not serialise the graph and design a second time.
+    /// path) do not serialise the design a second time.
     fn artifacts_keyed(
         &self,
         key: String,
@@ -451,36 +483,33 @@ impl Harness {
         let options = options.with_tensor_budget(budget);
         let normalised = options.with_tensor_budget(None);
         // The derated design is budget-independent, so one derate (and
-        // one graph/design fingerprint) serves both the result key and
-        // the artifact key — fingerprinting is the replan hot path's
-        // only per-call cost once the artifact cache is warm.
+        // one design fingerprint) serves both the result key and the
+        // artifact key; the graph's fingerprint is memoized on the graph.
         let design = Pipeline::new(options).lcmm_design(base.clone());
-        let graph_fp = fp(graph);
+        let graph_fp = graph.fingerprint();
         let design_fp = fp(&design);
         let key = format!("{graph_fp}\u{1}{design_fp}\u{1}{}", fp(&options));
         let artifact_key = format!("{graph_fp}\u{1}{design_fp}\u{1}{}", fp(&normalised));
-        self.results.try_get_or_compute(key, || {
+        let run = self.results.try_get_or_compute::<LcmmError>(key, || {
             let artifacts =
                 self.artifacts_keyed(artifact_key, graph, &design, normalised, cancel)?;
             let result = artifacts.replan_with_budget(graph, budget, cancel)?;
-            self.runs
-                .lock()
-                .expect("runs lock poisoned")
-                .push(RunRecord {
-                    label: run_label(graph, &design, &options),
-                    stats: result.stats,
-                });
-            Ok(result)
-        })
+            Ok(MemoRun {
+                label: run_label(graph, &design, &options),
+                result: Arc::new(result),
+            })
+        })?;
+        Ok(Arc::clone(&run.result))
     }
 
     /// Evicts every cached artefact derived from `graph` — designs,
-    /// profiles, baselines, results, and delta-plan artifacts —
-    /// returning how many entries were dropped. The serve daemon calls
-    /// this when a registered model's graph *content* changes, so a
-    /// re-registered digest never serves stale artifacts.
+    /// profiles, baselines, results (and with them their `--profile`
+    /// run records), and delta-plan artifacts — returning how many
+    /// entries were dropped. The serve daemon calls this when a
+    /// registered model's graph *content* changes, so a re-registered
+    /// digest never serves stale artifacts.
     pub fn invalidate_graph(&self, graph: &Graph) -> usize {
-        let prefix = format!("{}\u{1}", fp(graph));
+        let prefix = format!("{}\u{1}", graph.fingerprint());
         self.designs.remove_prefix(&prefix)
             + self.profiles.remove_prefix(&prefix)
             + self.baselines.remove_prefix(&prefix)
@@ -523,11 +552,20 @@ impl Harness {
         }
     }
 
-    /// The full `--profile` report: cache counters plus every recorded
-    /// pipeline run, sorted by label for stable output.
+    /// The full `--profile` report: cache counters plus the run behind
+    /// every memoized result, sorted by label (ties in key order) for
+    /// stable output.
     #[must_use]
     pub fn profile_report(&self) -> HarnessProfile {
-        let mut runs = self.runs.lock().expect("runs lock poisoned").clone();
+        let mut runs: Vec<RunRecord> = self
+            .results
+            .values()
+            .iter()
+            .map(|run| RunRecord {
+                label: run.label.clone(),
+                stats: run.result.stats,
+            })
+            .collect();
         runs.sort_by(|a, b| a.label.cmp(&b.label));
         HarnessProfile {
             jobs: self.jobs,
@@ -776,6 +814,86 @@ mod tests {
             h.cache_stats().artifact_misses,
             misses,
             "other graph's artifacts survived the invalidation"
+        );
+    }
+
+    #[test]
+    fn invalidate_graph_drops_that_graphs_run_records() {
+        let h = Harness::new(1);
+        let g = small_graph();
+        let other = zoo::squeezenet();
+        let device = Device::vu9p();
+        let other_base = h.design(&other, &device, Precision::Fix16);
+        h.try_replan_with_budget(&other, &other_base, LcmmOptions::default(), None, None)
+            .unwrap();
+        let labels = |h: &Harness| -> Vec<String> {
+            h.profile_report()
+                .runs
+                .into_iter()
+                .map(|r| r.label)
+                .collect()
+        };
+        let before = labels(&h);
+        assert_eq!(before.len(), 1);
+        for _ in 0..3 {
+            let base = h.design(&g, &device, Precision::Fix16);
+            let full = base.tensor_sram_budget();
+            for budget in [None, Some(full / 2), Some(full / 4)] {
+                h.try_replan_with_budget(&g, &base, LcmmOptions::default(), budget, None)
+                    .unwrap();
+            }
+            h.lcmm_with_design(&g, &base, LcmmOptions::feature_reuse_only());
+            assert_eq!(h.profile_report().runs.len(), 5);
+            h.invalidate_graph(&g);
+            assert_eq!(labels(&h), before, "only the other graph's run is left");
+        }
+    }
+
+    #[test]
+    fn round_tripped_graph_hits_the_same_entries() {
+        let h = Harness::new(1);
+        let g = small_graph();
+        let copy: Graph =
+            serde_json::from_str(&serde_json::to_string(&g).unwrap()).expect("round trips");
+        let device = Device::vu9p();
+        let d1 = h.design(&g, &device, Precision::Fix16);
+        let d2 = h.design(&copy, &device, Precision::Fix16);
+        assert!(Arc::ptr_eq(&d1, &d2));
+        assert!(Arc::ptr_eq(&h.profile(&g, &d1), &h.profile(&copy, &d2)));
+        let stats = h.cache_stats();
+        assert_eq!((stats.design_misses, stats.profile_misses), (1, 1));
+    }
+
+    #[test]
+    fn keys_are_the_serialized_inputs() {
+        // Keys are the compact JSON of every input, graph included, so
+        // the memoized graph fingerprint must leave them unchanged.
+        fn keys<T>(cache: &Cache<T>) -> Vec<String> {
+            cache.map.lock().unwrap().keys().cloned().collect()
+        }
+        let h = Harness::new(1);
+        let g = small_graph();
+        let device = Device::vu9p();
+        let options = LcmmOptions::default();
+        let base = h.design(&g, &device, Precision::Fix16);
+        h.lcmm_with_design(&g, &base, options);
+        let graph = serde_json::to_string(&g).unwrap();
+        let design = Pipeline::new(options).lcmm_design((*base).clone());
+        assert_eq!(
+            keys(&h.designs),
+            [format!(
+                "{graph}\u{1}{}\u{1}{}",
+                serde_json::to_string(&device).unwrap(),
+                serde_json::to_string(&Precision::Fix16).unwrap()
+            )]
+        );
+        assert_eq!(
+            keys(&h.results),
+            [format!(
+                "{graph}\u{1}{}\u{1}{}",
+                serde_json::to_string(&design).unwrap(),
+                serde_json::to_string(&options).unwrap()
+            )]
         );
     }
 

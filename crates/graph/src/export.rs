@@ -1,6 +1,6 @@
 //! Graph export: Graphviz DOT and JSON.
 //!
-//! `Graph` derives `serde::{Serialize, Deserialize}`, so JSON is the
+//! `Graph` implements `serde::{Serialize, Deserialize}`, so JSON is the
 //! interchange format for saving custom models; DOT is for eyeballs.
 
 use crate::graph::Graph;
@@ -73,21 +73,18 @@ impl Graph {
             .map_err(|e| GraphError::Malformed(format!("serialisation failed: {e}")))
     }
 
-    /// Restores a graph from [`Graph::to_json`] output, re-validating
-    /// the structure (consumer lists, acyclicity).
+    /// Restores a graph from [`Graph::to_json`] output through the same
+    /// validating decode as every other deserialisation (dense ids,
+    /// in-range edges, acyclicity; consumer lists rebuilt).
     ///
     /// # Errors
     ///
     /// Returns an error on malformed JSON or on a graph that fails
     /// validation (cycles, dangling node ids).
     pub fn from_json(json: &str) -> Result<Self, GraphError> {
-        let raw: Graph = serde_json::from_str(json)
+        let content: serde_json::Value = serde_json::from_str(json)
             .map_err(|e| GraphError::Malformed(format!("deserialisation failed: {e}")))?;
-        // Re-run the structural validation a builder would have done.
-        let name = raw.name().to_string();
-        let output = raw.output_node().id();
-        let nodes = raw.into_nodes();
-        Graph::from_parts(name, nodes, output)
+        Graph::decode(&content)
     }
 }
 
@@ -138,6 +135,50 @@ mod tests {
     fn from_json_rejects_garbage() {
         assert!(Graph::from_json("not json").is_err());
         assert!(Graph::from_json("{\"name\": \"x\"}").is_err());
+    }
+
+    /// Compact alexnet JSON with the first `from` replaced by `to`.
+    fn tampered_alexnet(from: &str, to: &str) -> String {
+        let json = serde_json::to_string(&zoo::alexnet()).expect("serialises");
+        let tampered = json.replacen(from, to, 1);
+        assert_ne!(tampered, json, "tamper target {from:?} not found");
+        tampered
+    }
+
+    #[test]
+    fn from_json_rejects_structural_damage_with_typed_errors() {
+        // conv1 (node 1) reads a node that does not exist.
+        let err =
+            Graph::from_json(&tampered_alexnet("\"inputs\":[0]", "\"inputs\":[99]")).unwrap_err();
+        assert_eq!(err, GraphError::UnknownNode(99));
+        // The graph output names a node that does not exist.
+        let err =
+            Graph::from_json(&tampered_alexnet("\"output\":11}", "\"output\":999}")).unwrap_err();
+        assert_eq!(err, GraphError::UnknownNode(999));
+        // conv1 reads fc8, closing a cycle.
+        let err =
+            Graph::from_json(&tampered_alexnet("\"inputs\":[0]", "\"inputs\":[11]")).unwrap_err();
+        assert!(err.to_string().contains("cycle"), "{err}");
+        // A node id that is not its index (this used to panic).
+        let err = Graph::from_json(&tampered_alexnet("\"id\":1,", "\"id\":999,")).unwrap_err();
+        assert!(err.to_string().contains("id 999"), "{err}");
+    }
+
+    #[test]
+    fn serde_decode_validates_like_from_json() {
+        let bad = tampered_alexnet("\"inputs\":[0]", "\"inputs\":[99]");
+        let err = serde_json::from_str::<Graph>(&bad).unwrap_err();
+        assert!(err.to_string().contains("unknown node id 99"), "{err}");
+    }
+
+    #[test]
+    fn decode_rebuilds_consumers_from_inputs() {
+        // Consumer lists are derived data: a decode ignores the stored
+        // ones and re-serialises the canonical form.
+        let canonical = serde_json::to_string(&zoo::alexnet()).expect("serialises");
+        let scrambled = tampered_alexnet("\"consumers\":[[1],", "\"consumers\":[[],");
+        let back: Graph = serde_json::from_str(&scrambled).expect("consumers are not checked");
+        assert_eq!(back.fingerprint(), canonical);
     }
 
     #[test]

@@ -3,9 +3,11 @@
 use crate::op::{FcParams, OpKind};
 use crate::tensor::FeatureShape;
 use crate::GraphError;
-use serde::{Deserialize, Serialize};
+use serde::content::{as_map, decode_field};
+use serde::{Content, Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a node within one [`Graph`].
 ///
@@ -90,16 +92,20 @@ impl Node {
 
 /// An immutable DNN computation graph.
 ///
-/// Construct one with [`crate::GraphBuilder`]; the builder validates
-/// shapes and guarantees acyclicity, so every `Graph` in existence is
-/// well-formed.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Construct one with [`crate::GraphBuilder`] or decode one from JSON;
+/// both paths validate the structure (dense ids, in-range edges,
+/// acyclicity), so every `Graph` in existence is well-formed.
+#[derive(Clone)]
 pub struct Graph {
     name: String,
     nodes: Vec<Node>,
     /// consumers[i] = ids of nodes that read node i's output.
     consumers: Vec<Vec<NodeId>>,
     output: NodeId,
+    /// Memo of [`Graph::fingerprint`], shared by every clone. Not part
+    /// of the graph's value: never serialized or printed. `Graph` has no
+    /// mutating method, so the memo cannot go stale.
+    fingerprint: Arc<OnceLock<Box<str>>>,
 }
 
 impl Graph {
@@ -108,6 +114,12 @@ impl Graph {
         nodes: Vec<Node>,
         output: NodeId,
     ) -> Result<Self, GraphError> {
+        if let Some((index, node)) = nodes.iter().enumerate().find(|(i, n)| n.id.0 != *i) {
+            return Err(GraphError::Malformed(format!(
+                "node {index} ({}) carries id {}; ids must be dense indices",
+                node.name, node.id.0
+            )));
+        }
         let mut consumers = vec![Vec::new(); nodes.len()];
         for node in &nodes {
             for &input in &node.inputs {
@@ -125,9 +137,36 @@ impl Graph {
             nodes,
             consumers,
             output,
+            fingerprint: Arc::default(),
         };
         graph.check_acyclic()?;
         Ok(graph)
+    }
+
+    /// Decodes and validates a graph from its serialized form. Only
+    /// `name`, `nodes` and `output` are read: consumer lists are
+    /// derived data and are rebuilt from the node inputs.
+    pub(crate) fn decode(c: &Content) -> Result<Self, GraphError> {
+        let malformed =
+            |e: serde::Error| GraphError::Malformed(format!("deserialisation failed: {e}"));
+        let fields = as_map(c, "Graph").map_err(malformed)?;
+        let name = decode_field(fields, "name", "Graph").map_err(malformed)?;
+        let nodes = decode_field(fields, "nodes", "Graph").map_err(malformed)?;
+        let output = decode_field(fields, "output", "Graph").map_err(malformed)?;
+        Self::from_parts(name, nodes, output)
+    }
+
+    /// The graph's canonical fingerprint: its compact JSON, the same
+    /// bytes as `serde_json::to_string(&graph)`. Computed on first use
+    /// and shared by every clone, so cache keys built from it cost a
+    /// copy, not a serialisation.
+    #[must_use]
+    pub fn fingerprint(&self) -> &str {
+        self.fingerprint.get_or_init(|| {
+            serde_json::to_string(self)
+                .expect("graphs serialise")
+                .into_boxed_str()
+        })
     }
 
     fn check_acyclic(&self) -> Result<(), GraphError> {
@@ -332,12 +371,6 @@ impl Graph {
         out
     }
 
-    /// Consumes the graph and returns its nodes (used by
-    /// deserialisation to re-validate through [`Graph::from_parts`]).
-    pub(crate) fn into_nodes(self) -> Vec<Node> {
-        self.nodes
-    }
-
     /// Ids of the nodes assigned to `block`.
     #[must_use]
     pub fn block_nodes(&self, block: &str) -> Vec<NodeId> {
@@ -346,6 +379,37 @@ impl Graph {
             .filter(|n| n.block.as_deref() == Some(block))
             .map(|n| n.id)
             .collect()
+    }
+}
+
+// Hand-written rather than derived so that the fingerprint memo stays
+// out of the serialized form (same fields, same order as a derive) and
+// every decode runs the structural validation.
+impl Serialize for Graph {
+    fn to_content(&self) -> Content {
+        Content::Map(vec![
+            ("name".to_string(), self.name.to_content()),
+            ("nodes".to_string(), self.nodes.to_content()),
+            ("consumers".to_string(), self.consumers.to_content()),
+            ("output".to_string(), self.output.to_content()),
+        ])
+    }
+}
+
+impl Deserialize for Graph {
+    fn from_content(c: &Content) -> Result<Self, serde::Error> {
+        Graph::decode(c).map_err(serde::Error::custom)
+    }
+}
+
+impl fmt::Debug for Graph {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Graph")
+            .field("name", &self.name)
+            .field("nodes", &self.nodes)
+            .field("consumers", &self.consumers)
+            .field("output", &self.output)
+            .finish()
     }
 }
 
@@ -453,6 +517,44 @@ mod tests {
         for n in g.iter() {
             assert!(text.contains(n.name()), "missing {}", n.name());
         }
+    }
+
+    #[test]
+    fn fingerprint_is_the_compact_json_and_survives_a_round_trip() {
+        let g = diamond();
+        let json = serde_json::to_string(&g).expect("serialises");
+        assert_eq!(g.fingerprint(), json);
+        // The memo is not serialized: serialising after it is filled
+        // gives the same bytes.
+        assert_eq!(serde_json::to_string(&g).expect("serialises"), json);
+        let back: Graph = serde_json::from_str(&json).expect("round trips");
+        assert_eq!(back.fingerprint(), g.fingerprint());
+        let pretty = Graph::from_json(&g.to_json().expect("serialises")).expect("round trips");
+        assert_eq!(pretty.fingerprint(), json);
+    }
+
+    #[test]
+    fn clones_share_one_fingerprint_allocation() {
+        let g = diamond();
+        let early = g.clone();
+        let fp = g.fingerprint();
+        assert!(std::ptr::eq(fp, early.fingerprint()), "clone made before");
+        assert!(
+            std::ptr::eq(fp, g.clone().fingerprint()),
+            "clone made after"
+        );
+        // A separately built equal graph has its own memo.
+        assert!(!std::ptr::eq(fp, diamond().fingerprint()));
+        assert_eq!(fp, diamond().fingerprint());
+    }
+
+    #[test]
+    fn debug_omits_the_fingerprint_memo() {
+        let g = diamond();
+        let before = format!("{g:?}");
+        let _ = g.fingerprint();
+        assert_eq!(format!("{g:?}"), before);
+        assert!(!before.contains("fingerprint"), "{before}");
     }
 
     #[test]

@@ -121,6 +121,7 @@ pub fn scale_channels(
 mod tests {
     use super::*;
     use crate::zoo;
+    use crate::{ConvParams, FeatureShape};
 
     #[test]
     fn identity_scale_preserves_everything() {
@@ -175,15 +176,22 @@ mod tests {
 
     #[test]
     fn malformed_forward_reference_is_a_typed_error() {
-        // An inline graph off the serve wire deserialises without
-        // builder validation, so a node may reference an input that
-        // comes *after* it in id order. That used to panic inside
-        // `scale_channels` (worker panic containment on the serve
-        // path); it must be a typed `GraphError` instead.
-        let g = zoo::alexnet();
+        // Deserialisation checks structure (dense ids, in-range edges,
+        // acyclicity) but not id order, so an inline graph off the serve
+        // wire may have a node read an input that comes *after* it.
+        // That used to panic inside `scale_channels` (worker panic
+        // containment on the serve path); it must be a typed
+        // `GraphError` instead.
+        let mut gb = GraphBuilder::new("fork");
+        let input = gb.input(FeatureShape::new(3, 8, 8)).expect("input");
+        let a = gb.conv("a", input, ConvParams::pointwise(4)).expect("a");
+        let b = gb.conv("b", input, ConvParams::pointwise(4)).expect("b");
+        let out = gb.concat("out", &[a, b]).expect("concat");
+        let g = gb.finish(out).expect("valid fork");
         let json = serde_json::to_string(&g).expect("graphs serialise");
-        // Point conv1 (id 1) at a node far ahead of it.
-        let tampered = json.replacen("\"inputs\":[0]", "\"inputs\":[9]", 1);
+        // Point `a` (id 1) at its sibling `b` (id 2): acyclic, but ahead
+        // of it in id order.
+        let tampered = json.replacen("\"inputs\":[0]", "\"inputs\":[2]", 1);
         assert_ne!(tampered, json, "tamper target not found");
         let bad: Graph = serde_json::from_str(&tampered).expect("tampered graph still parses");
         let err = scale_channels(&bad, 1, 2).expect_err("forward reference must fail");

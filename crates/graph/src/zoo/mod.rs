@@ -32,12 +32,56 @@ pub use synthetic::{synthetic, synthetic_scaled, synthetic_shortcut};
 pub use vgg::vgg16;
 
 use crate::Graph;
+use std::sync::OnceLock;
+
+/// Canonical short names of the named models, smallest first.
+const NAMES: [&str; 11] = [
+    "alexnet",
+    "mobilenet",
+    "squeezenet",
+    "vgg16",
+    "googlenet",
+    "densenet121",
+    "resnet50",
+    "resnet101",
+    "resnet152",
+    "inception_v4",
+    "inception_resnet_v2",
+];
+
+/// The builder of each entry of [`NAMES`], index for index.
+const BUILDERS: [fn() -> Graph; 11] = [
+    alexnet,
+    mobilenet,
+    squeezenet,
+    vgg16,
+    googlenet,
+    densenet121,
+    resnet50,
+    resnet101,
+    resnet152,
+    inception_v4,
+    inception_resnet_v2,
+];
+
+/// Each named model, built on first use and then kept for the life of
+/// the process. Its clones share the fingerprint memo, so a zoo net is
+/// built and serialised at most once per process.
+static BUILT: [OnceLock<Graph>; 11] = [const { OnceLock::new() }; 11];
+
+/// The named model at `index` of [`NAMES`].
+fn built(index: usize) -> Graph {
+    BUILT[index].get_or_init(BUILDERS[index]).clone()
+}
 
 /// The paper's Table 1 benchmark suite: ResNet-152, GoogLeNet,
 /// Inception-v4, in that order.
 #[must_use]
 pub fn benchmark_suite() -> Vec<Graph> {
-    vec![resnet152(), googlenet(), inception_v4()]
+    ["resnet152", "googlenet", "inception_v4"]
+        .into_iter()
+        .map(|name| by_name(name).expect("suite nets are zoo nets"))
+        .collect()
 }
 
 /// Every named model in the zoo, smallest first — the audit grid walks
@@ -45,19 +89,7 @@ pub fn benchmark_suite() -> Vec<Graph> {
 /// the expensive inception builds run.
 #[must_use]
 pub fn full_zoo() -> Vec<Graph> {
-    vec![
-        alexnet(),
-        mobilenet(),
-        squeezenet(),
-        vgg16(),
-        googlenet(),
-        densenet121(),
-        resnet50(),
-        resnet101(),
-        resnet152(),
-        inception_v4(),
-        inception_resnet_v2(),
-    ]
+    (0..NAMES.len()).map(built).collect()
 }
 
 /// Canonical short names of every zoo model, in [`full_zoo`] order —
@@ -65,19 +97,7 @@ pub fn full_zoo() -> Vec<Graph> {
 /// specs accepted by [`by_name`] are not listed).
 #[must_use]
 pub fn names() -> &'static [&'static str] {
-    &[
-        "alexnet",
-        "mobilenet",
-        "squeezenet",
-        "vgg16",
-        "googlenet",
-        "densenet121",
-        "resnet50",
-        "resnet101",
-        "resnet152",
-        "inception_v4",
-        "inception_resnet_v2",
-    ]
+    &NAMES
 }
 
 /// Builds a model by its short name, as used by the CLI.
@@ -89,6 +109,9 @@ pub fn names() -> &'static [&'static str] {
 /// `@<percent>` suffix (e.g. `synthetic:1024x4x7@50`) and/or tilted
 /// toward residual diamonds with a `+res` suffix (e.g.
 /// `synthetic:1024x4x7@50+res`, see [`synthetic_shortcut`]).
+///
+/// Named models are built once per process and returned as clones;
+/// `synthetic` specs are built on every call.
 #[must_use]
 pub fn by_name(name: &str) -> Option<Graph> {
     if let Some(spec) = name
@@ -116,20 +139,19 @@ pub fn by_name(name: &str) -> Option<Graph> {
             synthetic_scaled(depth, branching, seed, width_percent)
         });
     }
-    match name.to_ascii_lowercase().as_str() {
-        "alexnet" => Some(alexnet()),
-        "densenet121" | "densenet" | "dn" => Some(densenet121()),
-        "mobilenet" | "mn" => Some(mobilenet()),
-        "squeezenet" | "sq" => Some(squeezenet()),
-        "vgg16" | "vgg" => Some(vgg16()),
-        "resnet50" => Some(resnet50()),
-        "resnet101" => Some(resnet101()),
-        "resnet152" | "rn" => Some(resnet152()),
-        "googlenet" | "gn" => Some(googlenet()),
-        "inception_v4" | "inception-v4" | "in" => Some(inception_v4()),
-        "inception_resnet_v2" | "irv2" => Some(inception_resnet_v2()),
-        _ => None,
-    }
+    let lower = name.to_ascii_lowercase();
+    let canonical = match lower.as_str() {
+        "densenet" | "dn" => "densenet121",
+        "mn" => "mobilenet",
+        "sq" => "squeezenet",
+        "vgg" => "vgg16",
+        "rn" => "resnet152",
+        "gn" => "googlenet",
+        "inception-v4" | "in" => "inception_v4",
+        "irv2" => "inception_resnet_v2",
+        other => other,
+    };
+    NAMES.iter().position(|&n| n == canonical).map(built)
 }
 
 #[cfg(test)]
@@ -175,6 +197,32 @@ mod tests {
         assert_eq!(scaled.name(), "synthetic_128x2x7@50+res");
         assert!(by_name("synthetic:128x2x7+res@50").is_none(), "wrong order");
         assert!(by_name("synthetic:+res").is_none(), "missing spec");
+    }
+
+    #[test]
+    fn named_models_are_built_once_and_share_a_fingerprint() {
+        let fp = |name: &str| by_name(name).expect("zoo net").fingerprint().as_ptr();
+        for name in names() {
+            assert_eq!(fp(name), fp(name), "{name}");
+        }
+        assert_eq!(fp("rn"), fp("resnet152"));
+        assert_eq!(fp("IN"), fp("inception-v4"));
+        let zoo = full_zoo();
+        assert_eq!(zoo[0].fingerprint().as_ptr(), fp("alexnet"));
+        assert_eq!(benchmark_suite()[1].fingerprint().as_ptr(), fp("googlenet"));
+        // The table holds what the builders build.
+        assert_eq!(
+            by_name("alexnet").unwrap().fingerprint(),
+            alexnet().fingerprint()
+        );
+    }
+
+    #[test]
+    fn synthetic_specs_build_on_every_call() {
+        let a = by_name("synthetic:32x2x7").unwrap();
+        let b = by_name("synthetic:32x2x7").unwrap();
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_ne!(a.fingerprint().as_ptr(), b.fingerprint().as_ptr());
     }
 
     #[test]

@@ -265,7 +265,7 @@ struct Registered {
 
 /// Digest of a graph's canonical JSON fingerprint.
 fn graph_digest(graph: &Graph) -> String {
-    digest(&serde_json::to_string(graph).unwrap_or_default())
+    digest(graph.fingerprint())
 }
 
 /// The invalidation tag carried by every cached co-plan that inlined
@@ -554,7 +554,7 @@ impl Server {
         };
         let record = WalRecord::Register {
             model: model.clone(),
-            graph_json: serde_json::to_string(&entry.graph).unwrap_or_default(),
+            graph_json: entry.graph.fingerprint().to_string(),
             precision: precision_name(entry.precision).to_string(),
             weight: entry.weight,
             share: entry.share,
@@ -933,7 +933,7 @@ fn snapshot_records(inner: &Inner) -> Vec<WalRecord> {
         for (name, r) in registry.iter() {
             out.push(WalRecord::Register {
                 model: name.clone(),
-                graph_json: serde_json::to_string(&r.graph).unwrap_or_default(),
+                graph_json: r.graph.fingerprint().to_string(),
                 precision: precision_name(r.precision).to_string(),
                 weight: r.weight,
                 share: r.share,
@@ -1165,7 +1165,7 @@ fn digest(fingerprint: &str) -> String {
 fn cache_key(resolved: &ResolvedPlan) -> String {
     let fingerprint = format!(
         "{}\u{1}{}\u{1}{}\u{1}{}",
-        serde_json::to_string(&resolved.graph).unwrap_or_default(),
+        resolved.graph.fingerprint(),
         serde_json::to_string(&resolved.device).unwrap_or_default(),
         serde_json::to_string(&resolved.precision).unwrap_or_default(),
         serde_json::to_string(&resolved.options).unwrap_or_default(),
@@ -1188,7 +1188,7 @@ fn coplan_cache_key(
         fingerprint.push_str(&format!(
             "{}\u{1}{}\u{1}{}\u{1}{}\u{1}{:?}\u{2}",
             name,
-            serde_json::to_string(&r.graph).unwrap_or_default(),
+            r.graph.fingerprint(),
             serde_json::to_string(&r.precision).unwrap_or_default(),
             r.weight,
             r.share,
@@ -1728,6 +1728,100 @@ mod tests {
         );
         let line = rx.recv_timeout(Duration::from_secs(60)).unwrap();
         assert!(line.contains("\"ok\":true"), "{line}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn cache_keys_are_digests_of_the_serialized_parts() {
+        // The memoized graph fingerprint must leave every key as it was
+        // (a digest over the compact JSON of each part), or plans a WAL
+        // recorded earlier would stop replaying into hits.
+        fn json<T: serde::Serialize>(value: &T) -> String {
+            serde_json::to_string(value).expect("key parts serialise")
+        }
+        let request = WireRequest::from_line(
+            r#"{"graph":"googlenet","precision":"8","allocator":"greedy","options":{"tensor_budget":65536}}"#,
+        )
+        .expect("parses");
+        let resolved = request.resolve_plan().expect("resolves");
+        assert_eq!(
+            cache_key(&resolved),
+            digest(&format!(
+                "{}\u{1}{}\u{1}{}\u{1}{}",
+                json(&resolved.graph),
+                json(&resolved.device),
+                json(&resolved.precision),
+                json(&resolved.options),
+            ))
+        );
+        let tenant = |graph: Graph, share| Registered {
+            graph_digest: graph_digest(&graph),
+            graph,
+            precision: Precision::Fix8,
+            weight: 2.0,
+            share,
+        };
+        let registry = vec![
+            (
+                "axn".to_string(),
+                tenant(lcmm_graph::zoo::alexnet(), Some(0.5)),
+            ),
+            (
+                "sqz".to_string(),
+                tenant(lcmm_graph::zoo::squeezenet(), None),
+            ),
+        ];
+        let device = Device::vu9p();
+        let opts = CoplanOptions::default();
+        let mut fingerprint = String::new();
+        for (name, r) in &registry {
+            fingerprint.push_str(&format!(
+                "{name}\u{1}{}\u{1}{}\u{1}{}\u{1}{:?}\u{2}",
+                json(&r.graph),
+                json(&r.precision),
+                r.weight,
+                r.share,
+            ));
+        }
+        fingerprint.push_str(&format!("{}\u{1}{}", json(&device), json(&opts)));
+        assert_eq!(
+            coplan_cache_key(&registry, &device, &opts),
+            format!("{COPLAN_KEY_PREFIX}{}", digest(&fingerprint))
+        );
+        assert_eq!(
+            registry[0].1.graph_digest,
+            digest(&json(&lcmm_graph::zoo::alexnet()))
+        );
+    }
+
+    #[test]
+    fn structurally_broken_inline_graphs_are_bad_requests() {
+        let server = Server::start(ServerConfig::default().with_workers(1));
+        let alexnet = serde_json::to_string(&lcmm_graph::zoo::alexnet()).expect("serialises");
+        let probes = [
+            ("\"inputs\":[0]", "\"inputs\":[99]", "unknown node id 99"),
+            ("\"output\":11}", "\"output\":999}", "unknown node id 999"),
+            ("\"inputs\":[0]", "\"inputs\":[11]", "cycle"),
+            ("\"id\":1,", "\"id\":999,", "id 999"),
+        ];
+        for (from, to, why) in probes {
+            let graph = alexnet.replacen(from, to, 1);
+            assert_ne!(graph, alexnet, "tamper target {from:?} not found");
+            for line in [
+                format!(r#"{{"graph":{{"inline":{graph}}}}}"#),
+                format!(r#"{{"op":"register","model":"bad","graph":{{"inline":{graph}}}}}"#),
+            ] {
+                let resp = server.handle_line(&line);
+                assert!(resp.contains("\"code\":\"bad_request\""), "{why}: {resp}");
+                assert!(resp.contains(why), "{why}: {resp}");
+            }
+        }
+        let stats: Value = serde_json::from_str(&server.handle_line(r#"{"op":"stats"}"#)).unwrap();
+        let registry = stats.get("stats").and_then(|s| s.get("registry")).unwrap();
+        assert_eq!(registry.get("models").and_then(Value::as_u64), Some(0));
+        // Still serving, the untampered inline graph included.
+        let ok = server.handle_line(&format!(r#"{{"graph":{{"inline":{alexnet}}}}}"#));
+        assert!(ok.contains("\"ok\":true"), "{ok}");
         server.shutdown();
     }
 }
