@@ -63,24 +63,32 @@ done
 echo "==> differential audit: grid + repro corpus + 8 random seeds + tiny-SRAM streaming + fused plans"
 "$bin" audit --seeds 8 --tiny-sram 4 --fusion 2 --json >/tmp/ci_audit.out 2>/dev/null
 
-# AutoWS gate: the budget-sweep study at two skewed (tiny) budgets must
-# be byte-identical across --jobs and match its goldens — one
+# AutoWS gate: the budget-sweep study must be byte-identical across
+# --jobs and match its goldens. Two skewed (tiny) budgets cover one
 # weight-heavy model where streaming wins (alexnet) and one that fits
-# on chip where streaming must change nothing (squeezenet). See
+# on chip where streaming must change nothing (squeezenet). The full
+# zoo at the default fractions pins every net's Off plan
+# (`pinned_latency`) and Auto plan (`streaming_latency`). See
 # docs/STREAMING.md.
-echo "==> sweep-budgets: skewed budgets vs checks/golden across --jobs"
+echo "==> sweep-budgets: skewed budgets and the full zoo vs checks/golden across --jobs"
+sweep_sets=(
+  "--model alexnet --fractions 1/16,1/8"
+  "--model squeezenet --fractions 1/16,1/8"
+  ""
+)
 sweep_i=0
-for model in alexnet squeezenet; do
+for sweep_set in "${sweep_sets[@]}"; do
   sweep_i=$((sweep_i + 1))
-  sweep_args=(sweep-budgets --model "$model" --fractions 1/16,1/8 --json)
+  read -ra sweep_sel <<<"$sweep_set"
+  sweep_args=(sweep-budgets "${sweep_sel[@]}" --json)
   "$bin" "${sweep_args[@]}" --jobs 1 >/tmp/ci_sweep_j1.json 2>/dev/null
   "$bin" "${sweep_args[@]}" --jobs 4 >/tmp/ci_sweep_j4.json 2>/dev/null
   if ! cmp -s /tmp/ci_sweep_j1.json /tmp/ci_sweep_j4.json; then
-    echo "FAIL: 'sweep-budgets --model $model' differs between --jobs 1 and --jobs 4" >&2
+    echo "FAIL: '${sweep_args[*]}' differs between --jobs 1 and --jobs 4" >&2
     exit 1
   fi
   if ! cmp -s /tmp/ci_sweep_j1.json "checks/golden/sweep_budgets_$sweep_i.json"; then
-    echo "FAIL: sweep-budgets ($model) differs from checks/golden/sweep_budgets_$sweep_i.json" >&2
+    echo "FAIL: '${sweep_args[*]}' differs from checks/golden/sweep_budgets_$sweep_i.json" >&2
     diff "checks/golden/sweep_budgets_$sweep_i.json" /tmp/ci_sweep_j1.json >&2 || true
     exit 1
   fi

@@ -69,16 +69,16 @@ pub struct SweepReport {
 /// Counts the chosen weight buffers of a plan by mode.
 fn mode_counts(result: &LcmmResult) -> (usize, usize, usize) {
     let (mut pinned, mut streamed, mut partial) = (0, 0, 0);
-    for (i, (buf, &chosen)) in result.buffers.iter().zip(&result.chosen).enumerate() {
+    let rows = result
+        .buffers
+        .iter()
+        .zip(&result.chosen)
+        .zip(&result.weight_modes);
+    for ((buf, &chosen), &mode) in rows {
         if !chosen || !buf.members.iter().any(|m| matches!(m, ValueId::Weight(_))) {
             continue;
         }
-        match result
-            .weight_modes
-            .get(i)
-            .copied()
-            .unwrap_or(WeightMode::Pinned)
-        {
+        match mode {
             WeightMode::Pinned => pinned += 1,
             WeightMode::Streamed { .. } => streamed += 1,
             WeightMode::PartialResident { .. } => partial += 1,

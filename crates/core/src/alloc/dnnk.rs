@@ -14,7 +14,7 @@
 //! encodes through its `pbuf_table` lookups. The final allocation is
 //! re-scored with the exact evaluator.
 
-use super::{AllocOutcome, AllocProblem, CAPACITY_UNIT_BYTES};
+use super::{capacity_units, AllocOutcome, AllocProblem, CAPACITY_UNIT_BYTES};
 use crate::prefetch::WeightMode;
 use crate::profiling;
 use crate::value::ValueId;
@@ -38,9 +38,12 @@ struct OpTerms {
 }
 
 impl OpTerms {
-    /// Eq. 1 with residency decided by `on_chip`. Generic (not `dyn`)
-    /// so the membership probes inline into the DP's hot loop.
-    fn latency<F: Fn(ValueId) -> bool>(&self, on_chip: &F) -> f64 {
+    /// Eq. 1 with residency decided by `on_chip`. `own` overrides the
+    /// exposed-when-resident seconds of one weight value: a single-weight
+    /// row charges its option's exposure for its own weight, not the
+    /// plan's. Generic (not `dyn`) so the membership probes inline into
+    /// the DP's hot loop.
+    fn latency<F: Fn(ValueId) -> bool>(&self, on_chip: &F, own: Option<(ValueId, f64)>) -> f64 {
         let if_term: f64 = self
             .inputs
             .iter()
@@ -48,52 +51,11 @@ impl OpTerms {
             .map(|(_, t)| *t)
             .sum();
         let wt_term = match self.weight {
-            Some((v, t, exposed)) => {
-                if on_chip(v) {
-                    exposed
-                } else {
-                    t
-                }
-            }
-            None => 0.0,
-        };
-        let of_term = if on_chip(self.output.0) {
-            0.0
-        } else {
-            self.output.1
-        };
-        self.compute.max(if_term).max(wt_term).max(of_term)
-    }
-
-    /// [`OpTerms::latency`] with the weight term of one specific value
-    /// overridden to `member_exposed` when resident — the exact-path
-    /// counterpart of the compiled variant evaluation: a moded row
-    /// charges its selected option's steady exposure for its own
-    /// weight, not the plan's pinned approximation.
-    fn latency_with_member<F: Fn(ValueId) -> bool>(
-        &self,
-        on_chip: &F,
-        member: ValueId,
-        member_exposed: f64,
-    ) -> f64 {
-        let if_term: f64 = self
-            .inputs
-            .iter()
-            .filter(|(v, _)| !on_chip(*v))
-            .map(|(_, t)| *t)
-            .sum();
-        let wt_term = match self.weight {
-            Some((v, t, exposed)) => {
-                if on_chip(v) {
-                    if v == member {
-                        member_exposed
-                    } else {
-                        exposed
-                    }
-                } else {
-                    t
-                }
-            }
+            Some((v, _, exposed)) if on_chip(v) => match own {
+                Some((member, seconds)) if member == v => seconds,
+                _ => exposed,
+            },
+            Some((_, t, _)) => t,
             None => 0.0,
         };
         let of_term = if on_chip(self.output.0) {
@@ -141,29 +103,17 @@ pub fn allocate(problem: &AllocProblem<'_>) -> AllocOutcome {
     // --- Backtrace -------------------------------------------------------
     let mut chosen = vec![false; n];
     let mut modes = vec![WeightMode::Pinned; n];
-    let mut any_moded = false;
     let mut j = units;
     for i in (0..n).rev() {
-        if tables.choice[i * (units + 1) + j] {
+        let cell = i * (units + 1) + j;
+        if tables.choice[cell] {
+            let option = &problem.options_of(i)[tables.option_choice[cell] as usize];
             chosen[i] = true;
-            match problem.variants_of(i) {
-                Some(opts) => {
-                    any_moded = true;
-                    let vi = tables.variant_choice[i * (units + 1) + j] as usize;
-                    modes[i] = opts[vi].mode;
-                    j -= tables.variants[i].as_ref().expect("moded row has variants")[vi].0;
-                }
-                None => j -= tables.sizes[i],
-            }
-        } else if problem.variants_of(i).is_some() {
-            any_moded = true;
+            modes[i] = option.mode;
+            j -= capacity_units(option.bytes);
         }
     }
-    if any_moded {
-        AllocOutcome::from_modes(problem, chosen, modes)
-    } else {
-        AllocOutcome::from_chosen(problem, chosen)
-    }
+    AllocOutcome::from_modes(problem, chosen, modes)
 }
 
 /// The DNNK value curve: entry `u` is the best achievable latency
@@ -186,17 +136,13 @@ pub fn gain_curve(problem: &AllocProblem<'_>) -> Vec<f64> {
 }
 
 /// The tables the shared DP produces: the full `choice` table
-/// (row-major, `n × (units+1)`; doubles as the paper's pbuf_table),
-/// the selected variant per taken cell of a moded row, the final value
-/// row (best gain per capacity), the per-buffer legacy sizes in units,
-/// and each moded row's `(size units, member exposed seconds)` variant
-/// list.
+/// (row-major, `n × (units+1)`; doubles as the paper's pbuf_table), the
+/// index into [`AllocProblem::options_of`] of the option taken in each
+/// taken cell, and the final value row (best gain per capacity).
 struct DpTables {
     choice: Vec<bool>,
-    variant_choice: Vec<u8>,
+    option_choice: Vec<u8>,
     values: Vec<f64>,
-    sizes: Vec<usize>,
-    variants: Vec<Option<Vec<(usize, f64)>>>,
 }
 
 /// The shared DP over `units` capacity columns.
@@ -255,38 +201,12 @@ fn dp(problem: &AllocProblem<'_>, units: usize) -> DpTables {
         .map(|b| problem.evaluator.touched_nodes(&b.members))
         .collect();
 
-    let sizes: Vec<usize> = problem
-        .buffers
-        .iter()
-        .map(|b| (b.bytes.div_ceil(CAPACITY_UNIT_BYTES)) as usize)
-        .collect();
-
-    // Per-row mode variants compiled to `(size units, member exposed)`.
-    // A `None` row is the legacy binary knapsack item; a `Some` row is
-    // a multiple-choice item — at most one variant can be taken, each
-    // trading SRAM units against the steady exposure charged for the
-    // row's own weight.
-    let variants: Vec<Option<Vec<(usize, f64)>>> = (0..n)
-        .map(|i| {
-            problem.variants_of(i).map(|opts| {
-                opts.iter()
-                    .map(|o| {
-                        (
-                            o.bytes.div_ceil(CAPACITY_UNIT_BYTES) as usize,
-                            o.exposed_seconds,
-                        )
-                    })
-                    .collect()
-            })
-        })
-        .collect();
-
     // --- DP ------------------------------------------------------------
     // choice[i][j]: buffer i taken in cell (i, j). This doubles as the
-    // paper's pbuf_table for pivot lookups. variant_choice[i][j] is the
-    // taken variant index of a moded row (0 otherwise).
+    // paper's pbuf_table for pivot lookups. option_choice[i][j] is the
+    // index of the option taken there.
     let mut choice = vec![false; n * (units + 1)];
-    let mut variant_choice = vec![0u8; n * (units + 1)];
+    let mut option_choice = vec![0u8; n * (units + 1)];
     let mut prev_l = vec![0.0f64; units + 1];
     let mut cur_l = vec![0.0f64; units + 1];
 
@@ -295,8 +215,7 @@ fn dp(problem: &AllocProblem<'_>, units: usize) -> DpTables {
     const NO_BIT: u32 = u32::MAX;
     let mut bit_of: Vec<u32> = vec![NO_BIT; n];
 
-    for i in 0..n {
-        let s = sizes[i];
+    for (i, touched) in touched.iter().enumerate() {
         // Membership probes in `compute_gain` run once per latency term
         // per cache miss; colored buffers can hold hundreds of members,
         // so a linear `contains` there dominates the whole DP.
@@ -315,10 +234,10 @@ fn dp(problem: &AllocProblem<'_>, units: usize) -> DpTables {
         // membership probe and owner lookup are paid once per (buffer,
         // term) here instead of once per evaluated column.
         let mut relevant: Vec<usize> = Vec::new();
-        let mut op_masks: Vec<u64> = Vec::with_capacity(touched[i].len());
-        let mut ops_compact: Vec<OpCompact> = Vec::with_capacity(touched[i].len());
+        let mut op_masks: Vec<u64> = Vec::with_capacity(touched.len());
+        let mut ops_compact: Vec<OpCompact> = Vec::with_capacity(touched.len());
         let mut in_terms: Vec<Term> = Vec::new();
-        for &op in &touched[i] {
+        for &op in touched {
             let t = &op_terms[op.index()];
             let mut mask = 0u64;
             let mut term_of = |v: ValueId, seconds: f64, mask: &mut u64| -> Term {
@@ -369,18 +288,13 @@ fn dp(problem: &AllocProblem<'_>, units: usize) -> DpTables {
         // distinct residency contexts silently share one key (a wrong
         // gain, not just a slow one), and the masks go unused.
         let use_cache = relevant.len() <= GAIN_CACHE_KEY_BITS;
-        // Per-op memo of latency deltas under the op's masked key. A
-        // handful of distinct masked keys show up per op across the
-        // whole row, so a linear scan beats hashing.
-        let mut op_memo: Vec<Vec<(u64, f64)>> = vec![Vec::new(); op_masks.len()];
         // Eq. 1 twice — once under the column context, once with buffer
         // i's members added — from the compiled terms. Same addends in
         // the same order as `OpTerms::latency`, so bit-identical.
-        // `member_exposed` overrides the exposed-when-resident seconds
-        // of the row's own weight (a moded row's selected variant);
-        // `None` charges the compiled plan exposure, exactly the legacy
-        // binary behaviour.
-        let delta_of = |p: usize, rk: u64, member_exposed: Option<f64>| -> f64 {
+        // `own_exposed` overrides the exposed-when-resident seconds of a
+        // single-weight row's own weight (its option's exposure); `None`
+        // charges every member its compiled plan exposure.
+        let delta_of = |p: usize, rk: u64, own_exposed: Option<f64>| -> f64 {
             let oc = &ops_compact[p];
             let on = |t: Term| t.bit != NO_BIT && (rk >> t.bit) & 1 == 1;
             let mut if_ctx = 0.0f64;
@@ -399,7 +313,7 @@ fn dp(problem: &AllocProblem<'_>, units: usize) -> DpTables {
                     let with = if c {
                         exposed
                     } else if t.member {
-                        member_exposed.unwrap_or(exposed)
+                        own_exposed.unwrap_or(exposed)
                     } else {
                         t.seconds
                     };
@@ -435,97 +349,38 @@ fn dp(problem: &AllocProblem<'_>, units: usize) -> DpTables {
         };
 
         profiling::add_dnnk_dp_cells((units + 1) as u64);
-        if let Some(vars) = &variants[i] {
-            // --- Multiple-choice row: one variant may be taken --------
-            // Caches are per variant: a variant changes the member
-            // weight's exposed seconds, so deltas of ops touching that
-            // weight differ between variants under the same context.
-            let mut gain_caches: Vec<Vec<(u64, f64)>> = vec![Vec::new(); vars.len()];
-            let mut op_memos: Vec<Vec<Vec<(u64, f64)>>> =
-                vec![vec![Vec::new(); op_masks.len()]; vars.len()];
-            let member = problem.buffers[i].members[0];
-            for j in 0..=units {
-                let l0 = prev_l[j];
-                let mut best = l0;
-                let mut best_variant = usize::MAX;
-                let ctx_on = |v: ValueId| -> bool {
-                    owner_of(v).is_some_and(|o| o < i && choice[o * (units + 1) + j])
-                };
-                let with_i =
-                    |v: ValueId| -> bool { ctx_on(v) || members_sorted.binary_search(&v).is_ok() };
-                for (vi, &(sv, member_exposed)) in vars.iter().enumerate() {
-                    if sv > j || sv == 0 {
-                        continue;
-                    }
-                    let gain = if use_cache {
-                        let key = keys[j];
-                        let gain_cache = &mut gain_caches[vi];
-                        if let Some(&(_, g)) = gain_cache.iter().find(|&&(k, _)| k == key) {
-                            profiling::count_gain_cache_hit();
-                            g
-                        } else {
-                            profiling::count_gain_cache_miss();
-                            let op_memo = &mut op_memos[vi];
-                            let g: f64 = (0..touched[i].len())
-                                .map(|p| {
-                                    let rk = key & op_masks[p];
-                                    if let Some(&(_, d)) =
-                                        op_memo[p].iter().find(|&&(k, _)| k == rk)
-                                    {
-                                        d
-                                    } else {
-                                        let d = delta_of(p, rk, Some(member_exposed));
-                                        op_memo[p].push((rk, d));
-                                        d
-                                    }
-                                })
-                                .sum();
-                            gain_cache.push((key, g));
-                            g
-                        }
-                    } else {
-                        profiling::count_gain_exact_recompute();
-                        touched[i]
-                            .iter()
-                            .map(|&op| {
-                                let t = &op_terms[op.index()];
-                                t.latency(&ctx_on)
-                                    - t.latency_with_member(&with_i, member, member_exposed)
-                            })
-                            .sum()
-                    };
-                    let l1 = prev_l[j - sv] + gain;
-                    if l1 > best {
-                        best = l1;
-                        best_variant = vi;
-                    }
-                }
-                cur_l[j] = best;
-                if best_variant != usize::MAX {
-                    choice[i * (units + 1) + j] = true;
-                    variant_choice[i * (units + 1) + j] = best_variant as u8;
-                }
+        // A single-weight row charges its own weight the taken option's
+        // exposure; every other row charges each member its plan
+        // exposure.
+        let own_weight = match problem.buffers[i].members.as_slice() {
+            &[v @ ValueId::Weight(_)] => Some(v),
+            _ => None,
+        };
+        // At most one option of the row can be taken. Options are the
+        // outer loop: each sweeps its columns against the previous row
+        // and overwrites a cell only on a strict gain, so every cell
+        // still compares the options in list order and the pinned option
+        // (entry 0) wins ties. A one-option row is the paper's binary
+        // knapsack item.
+        let row = i * (units + 1);
+        cur_l.copy_from_slice(&prev_l);
+        for (oi, option) in problem.options_of(i).iter().enumerate() {
+            let size = capacity_units(option.bytes);
+            if size == 0 || size > units {
+                continue;
             }
-        } else {
-            // --- Legacy binary row ------------------------------------
-            // Distinct context keys per buffer are few (the DP fills
-            // columns left to right, so the same prefix choices
-            // repeat); a linear scan over a tiny vec beats any hash
-            // map here.
+            let own = own_weight.map(|v| (v, option.exposed_seconds));
+            // Distinct context keys per option are few (the DP fills
+            // columns left to right, so the same prefix choices repeat),
+            // and a handful of distinct masked keys show up per op: a
+            // linear scan over a tiny vec beats any hash map for both the
+            // gain cache and the per-op memo of latency deltas. Both are
+            // per option: an option changes the own weight's exposed
+            // seconds, so the deltas of ops touching it differ between
+            // options under the same context.
             let mut gain_cache: Vec<(u64, f64)> = Vec::new();
-            for j in 0..=units {
-                let l0 = prev_l[j];
-                if s > j || s == 0 {
-                    cur_l[j] = l0;
-                    continue;
-                }
-                // Residency context at this capacity (the pbuf_table
-                // approximation of Alg. 1).
-                let ctx_on = |v: ValueId| -> bool {
-                    owner_of(v).is_some_and(|o| o < i && choice[o * (units + 1) + j])
-                };
-                let with_i =
-                    |v: ValueId| -> bool { ctx_on(v) || members_sorted.binary_search(&v).is_ok() };
+            let mut op_memo: Vec<Vec<(u64, f64)>> = vec![Vec::new(); op_masks.len()];
+            for j in size..=units {
                 let gain = if use_cache {
                     let key = keys[j];
                     if let Some(&(_, g)) = gain_cache.iter().find(|&&(k, _)| k == key) {
@@ -533,13 +388,13 @@ fn dp(problem: &AllocProblem<'_>, units: usize) -> DpTables {
                         g
                     } else {
                         profiling::count_gain_cache_miss();
-                        let g: f64 = (0..touched[i].len())
+                        let g: f64 = (0..touched.len())
                             .map(|p| {
                                 let rk = key & op_masks[p];
                                 if let Some(&(_, d)) = op_memo[p].iter().find(|&&(k, _)| k == rk) {
                                     d
                                 } else {
-                                    let d = delta_of(p, rk, None);
+                                    let d = delta_of(p, rk, own.map(|(_, e)| e));
                                     op_memo[p].push((rk, d));
                                     d
                                 }
@@ -550,20 +405,27 @@ fn dp(problem: &AllocProblem<'_>, units: usize) -> DpTables {
                     }
                 } else {
                     profiling::count_gain_exact_recompute();
-                    touched[i]
+                    // Residency context at this capacity (the pbuf_table
+                    // approximation of Alg. 1).
+                    let ctx_on = |v: ValueId| -> bool {
+                        owner_of(v).is_some_and(|o| o < i && choice[o * (units + 1) + j])
+                    };
+                    let with_i = |v: ValueId| -> bool {
+                        ctx_on(v) || members_sorted.binary_search(&v).is_ok()
+                    };
+                    touched
                         .iter()
                         .map(|&op| {
                             let t = &op_terms[op.index()];
-                            t.latency(&ctx_on) - t.latency(&with_i)
+                            t.latency(&ctx_on, None) - t.latency(&with_i, own)
                         })
                         .sum()
                 };
-                let l1 = prev_l[j - s] + gain;
-                if l1 > l0 {
+                let l1 = prev_l[j - size] + gain;
+                if l1 > cur_l[j] {
                     cur_l[j] = l1;
-                    choice[i * (units + 1) + j] = true;
-                } else {
-                    cur_l[j] = l0;
+                    choice[row + j] = true;
+                    option_choice[row + j] = oi as u8;
                 }
             }
         }
@@ -572,10 +434,8 @@ fn dp(problem: &AllocProblem<'_>, units: usize) -> DpTables {
 
     DpTables {
         choice,
-        variant_choice,
+        option_choice,
         values: prev_l,
-        sizes,
-        variants,
     }
 }
 
@@ -743,14 +603,14 @@ mod tests {
             weight: Some((w4, 0.01, 0.0)),
             output: (f4, 0.05),
         };
-        let none = t.latency(&|_| false);
+        let none = t.latency(&|_| false, None);
         assert_eq!(none, 0.05);
         // f7 on chip: latency still 0.05 (pivot unaffected).
-        let f7_on = t.latency(&|v| v == f7);
+        let f7_on = t.latency(&|v| v == f7, None);
         assert_eq!(f7_on, 0.05);
         // f4 additionally on chip: pivot drops to w4's 0.01 — the gain
         // relative to f7_on is 0.04, matching the paper's compensation.
-        let f4_on = t.latency(&|v| v == f7 || v == f4);
+        let f4_on = t.latency(&|v| v == f7 || v == f4, None);
         assert_eq!(f4_on, 0.01);
         assert!((f7_on - f4_on - 0.04).abs() < 1e-12);
     }
@@ -766,31 +626,13 @@ mod tests {
             weight: Some((w, 0.10, 0.06)),
             output: (f, 0.0),
         };
-        assert_eq!(t.latency(&|_| false), 0.10);
+        assert_eq!(t.latency(&|_| false, None), 0.10);
         // Resident but only partially hidden: the exposed 0.06 remains.
-        assert_eq!(t.latency(&|v| v == w), 0.06);
+        assert_eq!(t.latency(&|v| v == w, None), 0.06);
     }
 
-    /// A real prefetch plan for the fixture (the default plan has no
-    /// edges, so streaming modes would never be offered).
-    fn real_plan(
-        g: &lcmm_graph::Graph,
-        design: &lcmm_fpga::AccelDesign,
-        p: &lcmm_fpga::GraphProfile,
-    ) -> PrefetchPlan {
-        use crate::liveness::Schedule;
-        use crate::value::ValueTable;
-        let ev = Evaluator::new(g, p);
-        let values = ValueTable::build_batched(g, p, design.precision, design.batch);
-        let schedule = Schedule::new(g);
-        PrefetchPlan::build(
-            &ev,
-            &schedule,
-            &crate::eval::Residency::new(),
-            values.weight_candidates(),
-        )
-    }
-
+    /// `Pinned` and `Off` build the same one-option rows, so DNNK must
+    /// return the same allocation to the last bit.
     #[test]
     fn forced_pinned_matches_off_bit_for_bit() {
         use crate::prefetch::StreamingMode;

@@ -7,7 +7,7 @@
 //! returns anything worse than the best solution seen, because every
 //! candidate is re-scored by the exact evaluator.
 
-use super::{dnnk, AllocOutcome, AllocProblem, CAPACITY_UNIT_BYTES};
+use super::{capacity_units, dnnk, AllocOutcome, AllocProblem, CAPACITY_UNIT_BYTES};
 
 /// Iteration cap: in practice the fixed point arrives in 2–3 rounds.
 pub const MAX_ROUNDS: usize = 4;
@@ -26,7 +26,7 @@ pub fn allocate(problem: &AllocProblem<'_>) -> AllocOutcome {
     let sizes: Vec<usize> = problem
         .buffers
         .iter()
-        .map(|b| (b.bytes.div_ceil(CAPACITY_UNIT_BYTES)) as usize)
+        .map(|b| capacity_units(b.bytes))
         .collect();
 
     let mut reference = best.residency.clone();

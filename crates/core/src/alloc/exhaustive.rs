@@ -2,31 +2,37 @@
 //! instances.
 
 use super::{AllocOutcome, AllocProblem};
+use crate::prefetch::WeightMode;
 
-/// Largest instance the exhaustive allocator accepts.
+/// Largest instance the exhaustive allocator enumerates.
 pub const MAX_BUFFERS: usize = 20;
 
-/// Enumerates all feasible subsets and returns the latency-optimal one.
+/// Enumerates all feasible subsets (every weight pinned) and returns the
+/// latency-optimal one.
 ///
-/// # Panics
-///
-/// Panics if the problem has more than [`MAX_BUFFERS`] buffers — beyond
-/// that the 2^n enumeration is no longer a test-time tool.
+/// Beyond [`MAX_BUFFERS`] buffers the 2^n enumeration is no longer a
+/// test-time tool, and such a problem gets the empty allocation. The
+/// pipeline refuses a plan whose buffer set starts out too large with
+/// [`crate::LcmmError::InvalidRequest`]; a buffer split that grows the
+/// set past the limit is then rejected, because the empty allocation
+/// never beats an enumerated optimum.
 #[must_use]
 pub fn allocate(problem: &AllocProblem<'_>) -> AllocOutcome {
     let n = problem.buffers.len();
-    assert!(
-        n <= MAX_BUFFERS,
-        "exhaustive allocator limited to {MAX_BUFFERS} buffers, got {n}"
-    );
+    if n > MAX_BUFFERS {
+        return AllocOutcome::from_chosen(problem, vec![false; n]);
+    }
+    let pinned = vec![WeightMode::Pinned; n];
     let mut best_mask = 0u32;
     let mut best_latency = f64::INFINITY;
     for mask in 0..(1u32 << n) {
         let chosen: Vec<bool> = (0..n).map(|i| mask >> i & 1 == 1).collect();
-        if !problem.fits(&chosen) {
+        if problem.bytes_of(&chosen, &pinned) > problem.budget_bytes {
             continue;
         }
-        let latency = problem.latency_of(&chosen);
+        let latency = problem
+            .evaluator
+            .total_latency(&problem.residency_for(&chosen, &pinned));
         if latency < best_latency {
             best_latency = latency;
             best_mask = mask;
@@ -100,8 +106,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "limited")]
-    fn rejects_large_instances() {
+    fn large_instances_get_the_empty_allocation() {
         let g = small_problem_graph();
         let d = AccelDesign::explore(&g, &Device::vu9p(), Precision::Fix8);
         let p = d.profile(&g);
@@ -113,6 +118,8 @@ mod tests {
             })
             .collect();
         let problem = AllocProblem::new(&ev, &bufs, 1 << 20, &PrefetchPlan::default());
-        let _ = allocate(&problem);
+        let out = allocate(&problem);
+        assert!(out.chosen.iter().all(|&c| !c));
+        assert_eq!(out.latency, problem.latency_of(&vec![false; bufs.len()]));
     }
 }

@@ -6,15 +6,17 @@
 //! buffer both fits and helps.
 
 use super::{AllocOutcome, AllocProblem};
+use crate::prefetch::WeightMode;
 
-/// Runs the greedy allocator.
+/// Runs the greedy allocator (every weight pinned).
 #[must_use]
 pub fn allocate(problem: &AllocProblem<'_>) -> AllocOutcome {
     let n = problem.buffers.len();
+    let pinned = vec![WeightMode::Pinned; n];
     let mut chosen = vec![false; n];
     let mut remaining = problem.budget_bytes;
     loop {
-        let mut residency = problem.residency_for(&chosen);
+        let mut residency = problem.residency_for(&chosen, &pinned);
         let mut best: Option<(f64, usize)> = None;
         for (i, buffer) in problem.buffers.iter().enumerate() {
             if chosen[i] || buffer.bytes > remaining {

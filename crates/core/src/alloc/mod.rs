@@ -25,6 +25,11 @@ use std::collections::HashMap;
 /// SRAM quantum for the DNNK capacity axis: one URAM block.
 pub const CAPACITY_UNIT_BYTES: u64 = 36 * 1024;
 
+/// Whole capacity units that `bytes` occupy on the DNNK capacity axis.
+pub(crate) fn capacity_units(bytes: u64) -> usize {
+    bytes.div_ceil(CAPACITY_UNIT_BYTES) as usize
+}
+
 /// An allocation problem: which virtual buffers get physical on-chip
 /// storage, subject to the SRAM budget.
 #[derive(Debug)]
@@ -39,12 +44,12 @@ pub struct AllocProblem<'a> {
     /// plan); weights absent from the map are fully hidden when
     /// resident.
     exposure: HashMap<ValueId, f64>,
-    /// Per-buffer weight-mode variants: `None` is a legacy binary row;
-    /// `Some` rows (single-member weight buffers under a streaming-
-    /// aware run) let the allocator choose between pinning, partial
-    /// residency, and streaming. Entry 0 of a `Some` list is always
-    /// the pinned option.
-    modes: Vec<Option<Vec<ModeOption>>>,
+    /// Every buffer's mode options in one flat table: row `i` is
+    /// `options[starts[i]..starts[i + 1]]`. Entry 0 of every row is the
+    /// pinned option at the buffer's full bytes; only a single-member
+    /// weight buffer under [`StreamingMode::Auto`] offers more.
+    options: Vec<ModeOption>,
+    starts: Vec<usize>,
 }
 
 impl<'a> AllocProblem<'a> {
@@ -61,12 +66,12 @@ impl<'a> AllocProblem<'a> {
         Self::with_streaming(evaluator, buffers, budget_bytes, plan, StreamingMode::Off)
     }
 
-    /// Builds a problem with per-buffer weight-mode variants derived
-    /// from the prefetch plan. Only single-member weight buffers are
-    /// moded: a multi-member (time-shared) buffer already reloads its
-    /// weights each inference and charging a stream on top of that
-    /// reload would double-pay the exposure, so shared buffers stay
-    /// binary pinned rows.
+    /// Builds a problem with per-buffer weight-mode options priced from
+    /// the prefetch plan. Only single-member weight buffers can be
+    /// offered more than the pinned option: a multi-member (time-shared)
+    /// buffer already reloads its weights each inference and charging a
+    /// stream on top of that reload would double-pay the exposure, so a
+    /// shared buffer, like a feature buffer, has one pinned option.
     #[must_use]
     pub fn with_streaming(
         evaluator: &'a Evaluator<'a>,
@@ -80,58 +85,74 @@ impl<'a> AllocProblem<'a> {
             .filter(|(_, e)| !e.fully_hidden())
             .map(|(&id, e)| (id, e.exposed_seconds))
             .collect();
-        let modes = buffers
-            .iter()
-            .map(|buf| match (streaming, buf.members.as_slice()) {
-                (StreamingMode::Off, _) => None,
-                (_, &[id @ ValueId::Weight(_)]) => {
-                    Some(plan.mode_options(id, buf.bytes, streaming))
+        let mut options = Vec::with_capacity(buffers.len());
+        let mut starts = Vec::with_capacity(buffers.len() + 1);
+        for buf in buffers {
+            starts.push(options.len());
+            match buf.members.as_slice() {
+                &[id @ ValueId::Weight(_)] => {
+                    plan.push_mode_options(&mut options, id, buf.bytes, streaming);
                 }
-                _ => None,
-            })
-            .collect();
+                _ => options.push(ModeOption {
+                    mode: WeightMode::Pinned,
+                    bytes: buf.bytes,
+                    exposed_seconds: 0.0,
+                }),
+            }
+        }
+        starts.push(options.len());
         Self {
             evaluator,
             buffers,
             budget_bytes,
             exposure,
-            modes,
+            options,
+            starts,
         }
     }
 
-    /// The mode variants of buffer `i`, or `None` for a legacy binary
-    /// row.
+    /// The mode options of buffer `i`; entry 0 is always the pinned
+    /// option at the buffer's full bytes.
     #[must_use]
-    pub fn variants_of(&self, i: usize) -> Option<&[ModeOption]> {
-        self.modes[i].as_deref()
+    pub fn options_of(&self, i: usize) -> &[ModeOption] {
+        &self.options[self.starts[i]..self.starts[i + 1]]
     }
 
-    /// The selected option of a moded buffer, if buffer `i` is moded
-    /// and offers `mode`.
+    /// The option of buffer `i` in `mode`, if the buffer offers it.
     fn option_for(&self, i: usize, mode: WeightMode) -> Option<&ModeOption> {
-        self.modes[i].as_deref()?.iter().find(|o| o.mode == mode)
+        self.options_of(i).iter().find(|o| o.mode == mode)
     }
 
-    /// Materialises the residency implied by a chosen buffer set.
+    /// Materialises the residency implied by a chosen buffer set under
+    /// per-buffer weight modes (`modes` aligned with `chosen`).
     ///
-    /// Exposure is a *reload* cost: only weights in shared
-    /// (multi-member) buffers are re-fetched each inference, so only
-    /// they pay their plan exposure in the steady state. A
-    /// single-member weight buffer is persistent — loaded once, free
-    /// thereafter — and charging it per-inference exposure made the
-    /// analytic model up to ~15% pessimistic against the simulator on
-    /// allocations with many unshared weight buffers.
+    /// Exposure is a *reload* cost. A shared (multi-member) buffer
+    /// re-fetches its weights each inference, so they pay their plan
+    /// exposure, and never a mode surcharge on top: a weight pays for
+    /// its re-streaming exactly once. A pinned single-member weight is
+    /// persistent — loaded once, free thereafter — and pays nothing
+    /// (charging it per-inference exposure made the analytic model up to
+    /// ~15% pessimistic against the simulator). A streamed or partially
+    /// resident weight pays its option's steady exposure every
+    /// inference.
     #[must_use]
-    pub fn residency_for(&self, chosen: &[bool]) -> Residency {
+    pub fn residency_for(&self, chosen: &[bool], modes: &[WeightMode]) -> Residency {
         let mut r = Residency::new();
-        for (buf, _) in self.buffers.iter().zip(chosen).filter(|(_, &c)| c) {
+        for (i, buf) in self.buffers.iter().enumerate().filter(|&(i, _)| chosen[i]) {
             let shared = buf.members.len() > 1;
             for &member in &buf.members {
                 r.insert(member);
-                if !shared {
+                let ValueId::Weight(node) = member else {
                     continue;
-                }
-                if let (ValueId::Weight(node), Some(&exp)) = (member, self.exposure.get(&member)) {
+                };
+                let exposed = if shared {
+                    self.exposure.get(&member).copied()
+                } else if modes[i] == WeightMode::Pinned {
+                    None
+                } else {
+                    self.option_for(i, modes[i]).map(|o| o.exposed_seconds)
+                };
+                if let Some(exp) = exposed {
                     r.set_exposed_weight(node, exp);
                 }
             }
@@ -139,78 +160,26 @@ impl<'a> AllocProblem<'a> {
         r
     }
 
-    /// [`AllocProblem::residency_for`] with per-buffer weight modes: a
-    /// pinned single-member weight is persistent (no steady exposure,
-    /// exactly as in the legacy path), while streamed and partially
-    /// resident weights pay their selected option's steady exposure
-    /// every inference. Shared (multi-member) buffers keep the legacy
-    /// reload exposure and never a mode surcharge on top — a weight
-    /// pays for its re-streaming exactly once.
-    #[must_use]
-    pub fn residency_for_modes(&self, chosen: &[bool], modes: &[WeightMode]) -> Residency {
-        let mut r = Residency::new();
-        for (i, buf) in self.buffers.iter().enumerate() {
-            if !chosen[i] {
-                continue;
-            }
-            let shared = buf.members.len() > 1;
-            let moded = !shared && self.modes[i].is_some();
-            for &member in &buf.members {
-                r.insert(member);
-                let ValueId::Weight(node) = member else {
-                    continue;
-                };
-                if moded {
-                    if modes[i] == WeightMode::Pinned {
-                        continue; // persistent: loaded once, free thereafter
-                    }
-                    if let Some(o) = self.option_for(i, modes[i]) {
-                        r.set_exposed_weight(node, o.exposed_seconds);
-                    }
-                } else if shared {
-                    if let Some(&exp) = self.exposure.get(&member) {
-                        r.set_exposed_weight(node, exp);
-                    }
-                }
-            }
-        }
-        r
-    }
-
-    /// Exact end-to-end latency of a chosen buffer set.
+    /// Exact end-to-end latency of a chosen buffer set with every weight
+    /// pinned.
     #[must_use]
     pub fn latency_of(&self, chosen: &[bool]) -> f64 {
-        self.evaluator.total_latency(&self.residency_for(chosen))
+        let pinned = vec![WeightMode::Pinned; chosen.len()];
+        self.evaluator
+            .total_latency(&self.residency_for(chosen, &pinned))
     }
 
-    /// Total bytes of a chosen buffer set.
+    /// Total bytes of a chosen buffer set under per-buffer weight modes:
+    /// each buffer consumes its selected option's bytes (e.g. only the
+    /// ping-pong footprint when streamed).
     #[must_use]
-    pub fn bytes_of(&self, chosen: &[bool]) -> u64 {
-        self.buffers
-            .iter()
-            .zip(chosen)
-            .filter(|(_, &c)| c)
-            .map(|(b, _)| b.bytes)
-            .sum()
-    }
-
-    /// Total bytes of a chosen buffer set under per-buffer weight
-    /// modes: a moded buffer consumes its selected option's bytes
-    /// (e.g. only the ping-pong footprint when streamed).
-    #[must_use]
-    pub fn bytes_of_modes(&self, chosen: &[bool], modes: &[WeightMode]) -> u64 {
+    pub fn bytes_of(&self, chosen: &[bool], modes: &[WeightMode]) -> u64 {
         self.buffers
             .iter()
             .enumerate()
             .filter(|&(i, _)| chosen[i])
             .map(|(i, b)| self.option_for(i, modes[i]).map_or(b.bytes, |o| o.bytes))
             .sum()
-    }
-
-    /// Whether a chosen set fits the budget.
-    #[must_use]
-    pub fn fits(&self, chosen: &[bool]) -> bool {
-        self.bytes_of(chosen) <= self.budget_bytes
     }
 
     /// Exposed seconds for a weight value (0 when fully hidden).
@@ -225,9 +194,10 @@ impl<'a> AllocProblem<'a> {
 pub struct AllocOutcome {
     /// `chosen[i]` — whether buffer `i` received physical storage.
     pub chosen: Vec<bool>,
-    /// `modes[i]` — the weight mode of buffer `i` (aligned with
-    /// `chosen`; [`WeightMode::Pinned`] for features, unchosen buffers,
-    /// and every buffer of a non-streaming run).
+    /// `modes[i]` — the weight mode of buffer `i`, aligned with
+    /// `chosen`: one of the buffer's [`AllocProblem::options_of`] modes,
+    /// so [`WeightMode::Pinned`] for features, shared buffers, unchosen
+    /// buffers and every buffer of a non-[`StreamingMode::Auto`] run.
     pub modes: Vec<WeightMode>,
     /// The implied residency.
     pub residency: Residency,
@@ -238,20 +208,11 @@ pub struct AllocOutcome {
 }
 
 impl AllocOutcome {
-    /// Assembles the outcome for a chosen vector (all modes pinned).
+    /// Assembles the outcome for a chosen vector with every mode pinned.
     #[must_use]
     pub fn from_chosen(problem: &AllocProblem<'_>, chosen: Vec<bool>) -> Self {
-        let residency = problem.residency_for(&chosen);
-        let latency = problem.evaluator.total_latency(&residency);
-        let bytes = problem.bytes_of(&chosen);
         let modes = vec![WeightMode::Pinned; chosen.len()];
-        Self {
-            chosen,
-            modes,
-            residency,
-            latency,
-            bytes,
-        }
+        Self::from_modes(problem, chosen, modes)
     }
 
     /// Assembles the outcome for a chosen vector with per-buffer weight
@@ -262,9 +223,9 @@ impl AllocOutcome {
         chosen: Vec<bool>,
         modes: Vec<WeightMode>,
     ) -> Self {
-        let residency = problem.residency_for_modes(&chosen, &modes);
+        let residency = problem.residency_for(&chosen, &modes);
         let latency = problem.evaluator.total_latency(&residency);
-        let bytes = problem.bytes_of_modes(&chosen, &modes);
+        let bytes = problem.bytes_of(&chosen, &modes);
         Self {
             chosen,
             modes,
@@ -290,9 +251,11 @@ impl AllocOutcome {
 pub(crate) mod test_support {
     //! A small synthetic fixture shared by the allocator tests.
 
-    use crate::eval::Evaluator;
+    use crate::eval::{Evaluator, Residency};
     use crate::interference::VirtualBuffer;
-    use crate::value::ValueId;
+    use crate::liveness::Schedule;
+    use crate::prefetch::PrefetchPlan;
+    use crate::value::{ValueId, ValueTable};
     use lcmm_fpga::{AccelDesign, Device, GraphProfile, Precision};
     use lcmm_graph::{ConvParams, FeatureShape, Graph, GraphBuilder};
 
@@ -314,6 +277,19 @@ pub(crate) mod test_support {
         let d = AccelDesign::explore(graph, &Device::vu9p(), Precision::Float32);
         let p = d.profile(graph);
         (d, p)
+    }
+
+    /// A real prefetch plan for the fixture (the default plan has no
+    /// edges, so streaming modes would never be offered).
+    pub fn real_plan(graph: &Graph, design: &AccelDesign, profile: &GraphProfile) -> PrefetchPlan {
+        let ev = Evaluator::new(graph, profile);
+        let values = ValueTable::build_batched(graph, profile, design.precision, design.batch);
+        PrefetchPlan::build(
+            &ev,
+            &Schedule::new(graph),
+            &Residency::new(),
+            values.weight_candidates(),
+        )
     }
 
     /// One single-member buffer per conv weight + feature.
@@ -355,6 +331,50 @@ mod tests {
         assert_eq!(out.residency.len(), 2);
         assert_eq!(out.bytes, bufs[0].bytes + bufs[3].bytes);
         assert_eq!(out.allocated_indices(), vec![0, 3]);
+    }
+
+    #[test]
+    fn every_row_offers_its_pinned_option_first() {
+        let g = chain_graph();
+        let (d, p) = setup(&g);
+        let ev = Evaluator::new(&g, &p);
+        let plan = real_plan(&g, &d, &p);
+        // Fold the first two weights into one time-shared buffer.
+        let mut bufs = singleton_buffers(&g, &ev);
+        let second = bufs.remove(2);
+        bufs[0].bytes = bufs[0].bytes.max(second.bytes);
+        bufs[0].members.extend(second.members);
+        let single_weight = |b: &VirtualBuffer| matches!(b.members[..], [ValueId::Weight(_)]);
+
+        let table = |streaming| {
+            let problem = AllocProblem::with_streaming(&ev, &bufs, 16 << 20, &plan, streaming);
+            (0..bufs.len())
+                .map(|i| problem.options_of(i).to_vec())
+                .collect::<Vec<_>>()
+        };
+        let [off, pinned, auto] = [
+            StreamingMode::Off,
+            StreamingMode::Pinned,
+            StreamingMode::Auto,
+        ]
+        .map(table);
+        for rows in [&off, &pinned, &auto] {
+            for (buf, options) in bufs.iter().zip(rows) {
+                assert_eq!(options[0].mode, WeightMode::Pinned);
+                assert_eq!(options[0].bytes, buf.bytes);
+                if !single_weight(buf) {
+                    assert_eq!(options.len(), 1, "{:?}", buf.members);
+                }
+            }
+        }
+        assert!(off.iter().all(|options| options.len() == 1));
+        assert_eq!(off, pinned);
+        assert!(
+            bufs.iter()
+                .zip(&auto)
+                .any(|(buf, options)| single_weight(buf) && options.len() > 1),
+            "auto offered no weight more than its pinned option"
+        );
     }
 
     #[test]

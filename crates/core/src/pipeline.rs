@@ -60,10 +60,10 @@ pub struct LcmmOptions {
     /// co-planning sets this to the tenant's share of the shared pool.
     pub tensor_budget: Option<u64>,
     /// Per-layer weight streaming (AutoWS): [`StreamingMode::Off`]
-    /// (default) is the legacy binary residency, [`StreamingMode::Auto`]
+    /// (default) is the paper's binary residency, [`StreamingMode::Auto`]
     /// lets DNNK choose pinning / partial residency / double-buffered
-    /// streaming per weight, [`StreamingMode::Pinned`] forces the
-    /// mode-aware path to pin everything (bit-identical to `Off`).
+    /// streaming per weight, and [`StreamingMode::Pinned`] plans exactly
+    /// as `Off` (bit-identical) but is reported as a streaming run.
     pub weight_streaming: StreamingMode,
     /// Fused-layer planning: [`FusionMode::Off`] (default) is the
     /// legacy per-layer pipeline, [`FusionMode::Auto`] runs the fusion
@@ -257,19 +257,12 @@ impl LcmmResult {
         self.buffers
             .iter()
             .zip(&self.chosen)
-            .enumerate()
-            .filter(|(_, (_, &c))| c)
-            .map(|(i, (b, _))| {
-                match self
-                    .weight_modes
-                    .get(i)
-                    .copied()
-                    .unwrap_or(WeightMode::Pinned)
-                {
-                    WeightMode::Pinned => b.bytes,
-                    WeightMode::Streamed { .. } => crate::prefetch::STREAM_PING_PONG_BYTES,
-                    WeightMode::PartialResident { resident_bytes } => resident_bytes,
-                }
+            .zip(&self.weight_modes)
+            .filter(|((_, &c), _)| c)
+            .map(|((b, _), mode)| match *mode {
+                WeightMode::Pinned => b.bytes,
+                WeightMode::Streamed { .. } => crate::prefetch::STREAM_PING_PONG_BYTES,
+                WeightMode::PartialResident { resident_bytes } => resident_bytes,
             })
             .collect()
     }
@@ -530,6 +523,18 @@ pub(crate) fn run_back_end(
         liveness_seconds,
         prefetch_seconds,
     } = front;
+
+    // The exact allocator enumerates 2^n subsets: refuse a buffer set it
+    // cannot enumerate instead of planning it with the empty allocation.
+    if options.allocator == AllocatorKind::Exhaustive {
+        let n = feature_graph.color().len() + weight_graph.color().len();
+        if n > exhaustive::MAX_BUFFERS {
+            return Err(LcmmError::InvalidRequest(format!(
+                "exhaustive allocator limited to {} buffers, got {n}",
+                exhaustive::MAX_BUFFERS
+            )));
+        }
+    }
 
     // --- Pass 3 + 4: DNNK allocation with splitting ------------------
     let t_pass = Instant::now();

@@ -227,12 +227,14 @@ fn exposure_stats(edges: &HashMap<ValueId, PrefetchEdge>) -> (f64, usize) {
 /// knob.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum StreamingMode {
-    /// Legacy binary residency: no mode machinery at all (default).
+    /// The paper's binary residency (default): a weight is pinned whole
+    /// or left off chip, so every knapsack row offers only its pinned
+    /// option.
     #[default]
     Off,
-    /// The mode-aware allocator path with every weight forced to
-    /// [`WeightMode::Pinned`]; plans are bit-identical to [`Off`]
-    /// (property-tested), so this isolates the refactored code path.
+    /// Every weight pinned, exactly as under [`Off`]: the plan is the
+    /// `Off` plan bit for bit (property-tested). The serve wire reports
+    /// it with the `weight_streaming` summary block.
     ///
     /// [`Off`]: StreamingMode::Off
     Pinned,
@@ -290,11 +292,15 @@ pub struct ModeOption {
     pub mode: WeightMode,
     /// On-chip bytes this option consumes.
     pub bytes: u64,
-    /// Steady-state exposed weight-load seconds per inference. For
-    /// [`WeightMode::Pinned`] this is the value the knapsack charges
-    /// (the legacy pbuf approximation under [`StreamingMode::Pinned`],
-    /// `0.0` under [`StreamingMode::Auto`]); the exact evaluator never
-    /// charges a persistent pinned weight.
+    /// Steady-state exposed weight-load seconds per inference, which
+    /// the knapsack charges a single-member weight buffer taken in this
+    /// option. For [`WeightMode::Pinned`] it is the paper's pbuf
+    /// approximation (the plan's residual exposure) under
+    /// [`StreamingMode::Off`] and [`StreamingMode::Pinned`], and `0.0`
+    /// under [`StreamingMode::Auto`]; the exact evaluator never charges
+    /// a persistent pinned weight. The one pinned option of a feature or
+    /// shared buffer holds `0.0`: DNNK charges a shared buffer's weights
+    /// their plan exposure instead.
     pub exposed_seconds: f64,
 }
 
@@ -311,7 +317,8 @@ impl PrefetchPlan {
     /// The per-mode options for a weight buffer of `bytes` bytes, priced
     /// from this plan's edge for `id` (see `docs/STREAMING.md`):
     ///
-    /// * `Pinned` — `bytes` on chip, steady exposure `0`;
+    /// * `Pinned` — `bytes` on chip, steady exposure `0` (see
+    ///   [`ModeOption::exposed_seconds`] for what the knapsack charges);
     /// * `PartialResident(f)` — `ceil(f·B)` bytes, exposure
     ///   `max(0, E − f·T)` (the hidden window `T − E` covers the tail of
     ///   the `(1−f)·T`-second stream first);
@@ -319,10 +326,10 @@ impl PrefetchPlan {
     ///   [`STREAM_PING_PONG_BYTES`] footprint, exposure `E`.
     ///
     /// Options are ordered `Pinned` first, then descending residency.
-    /// Non-pinned options are only offered when they save at least one
-    /// whole capacity unit over pinning, and only for weights with a
-    /// planned edge (the stream claims the edge's idle window). The
-    /// first entry is always the pinned one.
+    /// Non-pinned options are only offered under [`StreamingMode::Auto`],
+    /// when they save at least one whole capacity unit over pinning, and
+    /// only for weights with a planned edge (the stream claims the
+    /// edge's idle window). The first entry is always the pinned one.
     #[must_use]
     pub fn mode_options(
         &self,
@@ -330,26 +337,37 @@ impl PrefetchPlan {
         bytes: u64,
         streaming: StreamingMode,
     ) -> Vec<ModeOption> {
+        let mut options = Vec::new();
+        self.push_mode_options(&mut options, id, bytes, streaming);
+        options
+    }
+
+    /// [`PrefetchPlan::mode_options`], appended to `out` (the knapsack's
+    /// flat option table) instead of a fresh vector.
+    pub(crate) fn push_mode_options(
+        &self,
+        out: &mut Vec<ModeOption>,
+        id: ValueId,
+        bytes: u64,
+        streaming: StreamingMode,
+    ) {
         let edge = self.edge(id);
         let plan_exposed = edge.map_or(0.0, |e| e.exposed_seconds.max(0.0));
         let pinned_exposed = match streaming {
-            // Legacy pbuf approximation: the DP charges the plan's
+            // The paper's pbuf approximation: the DP charges the plan's
             // residual exposure for a resident weight.
             StreamingMode::Off | StreamingMode::Pinned => plan_exposed,
             // The exact model: a pinned single-member weight is
             // persistent and pays nothing in the steady state.
             StreamingMode::Auto => 0.0,
         };
-        let mut options = vec![ModeOption {
+        out.push(ModeOption {
             mode: WeightMode::Pinned,
             bytes,
             exposed_seconds: pinned_exposed,
-        }];
-        if streaming != StreamingMode::Auto {
-            return options;
-        }
-        let Some(edge) = edge else {
-            return options;
+        });
+        let (StreamingMode::Auto, Some(edge)) = (streaming, edge) else {
+            return;
         };
         let unit = crate::alloc::CAPACITY_UNIT_BYTES;
         let pinned_units = bytes.div_ceil(unit);
@@ -360,7 +378,7 @@ impl PrefetchPlan {
                 continue;
             }
             let f = num as f64 / den as f64;
-            options.push(ModeOption {
+            out.push(ModeOption {
                 mode: WeightMode::PartialResident {
                     resident_bytes: resident,
                 },
@@ -369,7 +387,7 @@ impl PrefetchPlan {
             });
         }
         if STREAM_PING_PONG_BYTES.div_ceil(unit) < pinned_units {
-            options.push(ModeOption {
+            out.push(ModeOption {
                 mode: WeightMode::Streamed {
                     double_buffered: true,
                 },
@@ -377,7 +395,6 @@ impl PrefetchPlan {
                 exposed_seconds: e,
             });
         }
-        options
     }
 }
 

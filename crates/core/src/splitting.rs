@@ -324,6 +324,56 @@ mod tests {
         assert!(propose_split(&ev, Precision::Float32, &buffers, &outcome).is_none());
     }
 
+    /// A split that grows the buffer set past what the exact allocator
+    /// enumerates is rejected instead of panicking.
+    #[test]
+    fn split_past_the_exhaustive_limit_is_rejected() {
+        use crate::alloc::exhaustive::{self, MAX_BUFFERS};
+        let mut b = GraphBuilder::new("wide");
+        let mut cur = b.input(FeatureShape::new(8, 4, 4)).expect("input");
+        let mut ids = Vec::new();
+        for i in 0..=MAX_BUFFERS {
+            cur = b
+                .conv(format!("c{i}"), cur, ConvParams::pointwise(8))
+                .expect("valid conv");
+            ids.push(ValueId::Feature(cur));
+        }
+        let g = b.finish(cur).expect("valid");
+        let d = AccelDesign::explore(&g, &Device::vu9p(), Precision::Float32);
+        let p = d.profile(&g);
+        let ev = Evaluator::new(&g, &p);
+        // Every tensor overlaps every other except the first and the
+        // last, which share one buffer until a split separates them.
+        let last = ids.len() - 1;
+        let fg = InterferenceGraph::new(
+            ids.iter()
+                .enumerate()
+                .map(|(k, &id)| {
+                    let span = match k {
+                        0 => LiveInterval::new(0, 1),
+                        k if k == last => LiveInterval::new(2, 9),
+                        _ => LiveInterval::new(0, 9),
+                    };
+                    (id, 512, span)
+                })
+                .collect(),
+        );
+        assert_eq!(fg.color().len(), MAX_BUFFERS);
+        let refined = refine(
+            &ev,
+            Precision::Float32,
+            0,
+            &PrefetchPlan::default(),
+            StreamingMode::Off,
+            fg,
+            InterferenceGraph::new(Vec::new()),
+            exhaustive::allocate,
+            SplitConfig::default(),
+        );
+        assert_eq!(refined.iterations, 0);
+        assert_eq!(refined.buffers.len(), MAX_BUFFERS);
+    }
+
     #[test]
     fn default_config_caps_iterations() {
         assert_eq!(SplitConfig::default().max_iterations, 8);

@@ -1,8 +1,8 @@
 //! Property tests for per-layer weight streaming (AutoWS).
 //!
 //! Three guarantees keep streaming safe to leave enabled everywhere:
-//! forcing every mode to `Pinned` must reproduce the legacy (streaming
-//! off) plans **bit-identically** on arbitrary graphs, allocators and
+//! forcing every mode to `Pinned` must reproduce the streaming-off
+//! plans **bit-identically** on arbitrary graphs, allocators and
 //! budgets; mode selection must be oblivious to the harness worker
 //! count; and an `Auto` plan must respect the knapsack budget with its
 //! *occupied* (mode-aware) bytes.
@@ -56,10 +56,10 @@ fn plan(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Forcing every weight to `Pinned` walks the mode-aware DP instead
-    /// of the legacy column loop, yet must land on the same plan to the
-    /// last bit — on random graphs, across allocators, and across a
-    /// budget sweep spanning zero, sub-unit, partial and full budgets.
+    /// `Pinned` and `Off` build the same one-option knapsack rows and
+    /// must land on the same plan to the last bit — on random graphs,
+    /// across allocators, and across a budget sweep spanning zero,
+    /// sub-unit, partial and full budgets.
     #[test]
     fn forced_pinned_is_bit_identical_to_off(
         depth in 2usize..7,

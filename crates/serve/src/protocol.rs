@@ -670,15 +670,15 @@ fn weight_streaming_summary(resolved: &ResolvedPlan, result: &LcmmResult) -> Val
     let occupied: u64 = result.occupied_buffer_sizes().iter().sum();
     let (mut pinned, mut streamed, mut partial) = (0u64, 0u64, 0u64);
     let mut table = Vec::new();
-    for (i, (buf, &chosen)) in result.buffers.iter().zip(&result.chosen).enumerate() {
+    let rows = result
+        .buffers
+        .iter()
+        .zip(&result.chosen)
+        .zip(&result.weight_modes);
+    for (i, ((buf, &chosen), &mode)) in rows.enumerate() {
         if !chosen || !buf.members.iter().any(|m| matches!(m, ValueId::Weight(_))) {
             continue;
         }
-        let mode = result
-            .weight_modes
-            .get(i)
-            .copied()
-            .unwrap_or(WeightMode::Pinned);
         let bytes = match mode {
             WeightMode::Pinned => {
                 pinned += 1;

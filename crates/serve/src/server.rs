@@ -1644,6 +1644,29 @@ mod tests {
     }
 
     #[test]
+    fn exhaustive_allocator_past_its_limit_is_a_bad_request() {
+        let server = Server::start(ServerConfig::default().with_workers(1));
+        let refused = server.handle_line(r#"{"graph":"googlenet","allocator":"exhaustive"}"#);
+        assert!(refused.contains("\"code\":\"bad_request\""), "{refused}");
+        assert!(
+            refused.contains("limited to 20 buffers, got 37"),
+            "{refused}"
+        );
+        assert_eq!(
+            server.handle_line(r#"{"op":"ping","id":1}"#),
+            r#"{"id":1,"ok":true,"pong":true}"#
+        );
+        // A net small enough to enumerate still plans exactly.
+        let plan = server.handle_line(
+            r#"{"graph":"alexnet","allocator":"exhaustive","options":{"tensor_budget":1048576}}"#,
+        );
+        assert!(plan.contains("\"ok\":true"), "{plan}");
+        assert!(plan.contains("\"allocator\":\"exhaustive\""), "{plan}");
+        assert!(plan.contains("\"buffers\":9"), "{plan}");
+        server.shutdown();
+    }
+
+    #[test]
     fn registry_mutations_acknowledge_and_validate() {
         let server = Server::start(ServerConfig::default().with_workers(1));
         let ack = server.handle_line(r#"{"op":"register","model":"a","graph":"alexnet","id":1}"#);

@@ -64,19 +64,19 @@ pub struct ValidationReport {
 #[must_use]
 pub fn weight_classes(result: &LcmmResult) -> HashMap<lcmm_graph::NodeId, WeightClass> {
     let mut classes = HashMap::new();
-    for (i, (buf, &chosen)) in result.buffers.iter().zip(&result.chosen).enumerate() {
+    let rows = result
+        .buffers
+        .iter()
+        .zip(&result.chosen)
+        .zip(&result.weight_modes);
+    for ((buf, &chosen), &mode) in rows {
         if !chosen {
             continue;
         }
         let class = if buf.members.len() > 1 {
             WeightClass::Shared
         } else {
-            match result
-                .weight_modes
-                .get(i)
-                .copied()
-                .unwrap_or(WeightMode::Pinned)
-            {
+            match mode {
                 WeightMode::Pinned => WeightClass::Persistent,
                 WeightMode::Streamed { double_buffered } => {
                     WeightClass::Streamed { double_buffered }
