@@ -181,7 +181,7 @@ for models in "mobilenet,alexnet:4" "mobilenet,alexnet,squeezenet:6"; do
   done
 done
 
-# Serve smoke gate: boot the daemon on an ephemeral port, issue three
+# Serve smoke gate: boot the daemon on an ephemeral port, issue five
 # plan requests through the one-shot client, and diff the responses
 # against checks/golden/ (plan payloads are deterministic by design —
 # see docs/SERVE.md). A duplicate of the first request must then be a
@@ -201,11 +201,22 @@ if [[ -z "$addr" ]]; then
   kill "$serve_pid" 2>/dev/null || true
   exit 1
 fi
+# googlenet at the full budget first, so that serve_5 (googlenet at a
+# 4 MiB budget) backtracks from the DNNK table that plan stored; its
+# golden was generated by a build that ran a fresh DP for it.
+"$bin" request --connect "$addr" '{"graph":"googlenet"}' >/tmp/ci_serve_req.out
+if ! grep -q '"ok":true' /tmp/ci_serve_req.out; then
+  echo "FAIL: full-budget googlenet plan failed" >&2
+  cat /tmp/ci_serve_req.out >&2
+  kill "$serve_pid" 2>/dev/null || true
+  exit 1
+fi
 serve_reqs=(
   '{"graph":"alexnet","precision":"8"}'
   '{"graph":"googlenet","allocator":"greedy"}'
   '{"graph":"synthetic:64x3x7","options":{"splitting":false}}'
   '{"graph":"alexnet","options":{"weight_streaming":"auto","tensor_budget":1048576}}'
+  '{"graph":"googlenet","options":{"tensor_budget":4194304}}'
 )
 i=0
 for req in "${serve_reqs[@]}"; do

@@ -15,10 +15,13 @@
 //! re-scored with the exact evaluator.
 
 use super::{capacity_units, AllocOutcome, AllocProblem, CAPACITY_UNIT_BYTES};
+use crate::interference::FalseEdge;
 use crate::prefetch::WeightMode;
 use crate::profiling;
 use crate::value::ValueId;
 use lcmm_graph::NodeId;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 /// Widest relevant-buffer set whose choice bits fit the `u64` gain-cache
 /// key without colliding (bit 63 is left unused as a sanity margin).
@@ -94,26 +97,184 @@ struct OpCompact {
 #[must_use]
 pub fn allocate(problem: &AllocProblem<'_>) -> AllocOutcome {
     let n = problem.buffers.len();
-    let units = (problem.budget_bytes / CAPACITY_UNIT_BYTES) as usize;
+    let units = budget_units(problem);
     if n == 0 || units == 0 {
         return AllocOutcome::from_chosen(problem, vec![false; n]);
     }
-    let tables = dp(problem, units);
+    backtrack(problem, &dp(problem, units).table, units)
+}
 
-    // --- Backtrace -------------------------------------------------------
+/// The problem's budget in whole capacity units: the DP's last column.
+fn budget_units(problem: &AllocProblem<'_>) -> usize {
+    (problem.budget_bytes / CAPACITY_UNIT_BYTES) as usize
+}
+
+/// Reads the allocation at `units` capacity units off `table`, which
+/// must be at least that wide: from the last row up, each taken cell
+/// fixes its buffer's option and moves left by the option's units.
+fn backtrack(problem: &AllocProblem<'_>, table: &ChoiceTable, units: usize) -> AllocOutcome {
+    let n = problem.buffers.len();
     let mut chosen = vec![false; n];
     let mut modes = vec![WeightMode::Pinned; n];
     let mut j = units;
     for i in (0..n).rev() {
-        let cell = i * (units + 1) + j;
-        if tables.choice[cell] {
-            let option = &problem.options_of(i)[tables.option_choice[cell] as usize];
+        let state = table.state(i, j);
+        if state != NOT_TAKEN {
+            let option = &problem.options_of(i)[usize::from(state) - 1];
             chosen[i] = true;
             modes[i] = option.mode;
             j -= capacity_units(option.bytes);
         }
     }
     AllocOutcome::from_modes(problem, chosen, modes)
+}
+
+/// Cell state of a buffer not taken; `k + 1` is "taken with option k".
+const NOT_TAKEN: u8 = 0;
+
+/// The DP's choice table (the paper's pbuf_table), stored run-length:
+/// for each buffer row, the columns where its cell state changes. A row
+/// holds a few dozen runs where a dense table holds a cell per capacity
+/// unit, which is what lets the artifact memo keep tables around.
+///
+/// A table filled at `units` columns answers every budget of at most
+/// `units` capacity units: cell `(i, j)` reads only columns `<= j` of
+/// the rows above it, so a DP run at a narrower budget fills exactly
+/// this table's column prefix.
+#[derive(Debug)]
+pub(crate) struct ChoiceTable {
+    units: usize,
+    /// Row `i`'s runs are `run_starts[rows[i]..rows[i + 1]]`.
+    rows: Vec<u32>,
+    /// First column of each run; every row's first run starts at 0.
+    run_starts: Vec<u32>,
+    /// The cell state over each run.
+    run_states: Vec<u8>,
+}
+
+impl ChoiceTable {
+    fn new(units: usize) -> Self {
+        Self {
+            units,
+            rows: vec![0],
+            run_starts: Vec::new(),
+            run_states: Vec::new(),
+        }
+    }
+
+    /// Appends the next row from its dense cell states.
+    fn push_row(&mut self, states: &[u8]) {
+        let mut current = None;
+        for (j, &state) in states.iter().enumerate() {
+            if current != Some(state) {
+                current = Some(state);
+                self.run_starts
+                    .push(u32::try_from(j).expect("fewer than 2^32 columns"));
+                self.run_states.push(state);
+            }
+        }
+        let runs = self.run_starts.len();
+        self.rows
+            .push(u32::try_from(runs).expect("fewer than 2^32 runs"));
+    }
+
+    fn runs(&self, i: usize) -> (&[u32], &[u8]) {
+        let range = self.rows[i] as usize..self.rows[i + 1] as usize;
+        (&self.run_starts[range.clone()], &self.run_states[range])
+    }
+
+    /// The state of cell `(i, j)`, for `j` within the table's width.
+    fn state(&self, i: usize, j: usize) -> u8 {
+        debug_assert!(
+            j <= self.units,
+            "column {j} past a {}-unit table",
+            self.units
+        );
+        let (starts, states) = self.runs(i);
+        states[starts.partition_point(|&s| s as usize <= j) - 1]
+    }
+
+    /// Calls `f(first, end)` for every column range `first..end` in
+    /// which row `i` is taken.
+    fn for_each_taken(&self, i: usize, mut f: impl FnMut(usize, usize)) {
+        let (starts, states) = self.runs(i);
+        for (k, (&first, &state)) in starts.iter().zip(states).enumerate() {
+            if state != NOT_TAKEN {
+                let end = starts.get(k + 1).map_or(self.units + 1, |&s| s as usize);
+                f(first as usize, end);
+            }
+        }
+    }
+
+    /// Bytes the table's row offsets and runs occupy.
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.rows.len() * size_of::<u32>()
+            + self.run_starts.len() * (size_of::<u32>() + size_of::<u8>())
+    }
+}
+
+/// Most keys one [`TableMemo`] stores. Past it, the DP of a buffer set
+/// with no stored table runs without storing, so an artifact set's
+/// table storage stays bounded however many budgets replan through it.
+pub(crate) const MAX_STORED_TABLES: usize = 32;
+
+/// The DNNK choice tables of one artifact set, keyed by the sorted false
+/// edges the split loop added to the initial coloring (the empty key is
+/// the initial coloring): the buffer set, and with it every DP row, is a
+/// function of that key, and the budget decides only the table width.
+/// Each key keeps its widest table.
+#[derive(Debug, Default)]
+pub(crate) struct TableMemo {
+    tables: Mutex<HashMap<Vec<FalseEdge>, Arc<ChoiceTable>>>,
+}
+
+impl TableMemo {
+    /// [`allocate`] for a problem whose buffers are the coloring under
+    /// `edges`: a backtrack from the stored table when it is wide enough
+    /// for the budget; otherwise the DP [`allocate`] runs, whose table is
+    /// then kept if it is wider than the stored one.
+    pub(crate) fn allocate(&self, problem: &AllocProblem<'_>, edges: &[FalseEdge]) -> AllocOutcome {
+        let n = problem.buffers.len();
+        let units = budget_units(problem);
+        if n == 0 || units == 0 {
+            return AllocOutcome::from_chosen(problem, vec![false; n]);
+        }
+        let stored = self.lock().get(edges).cloned();
+        if let Some(table) = stored.filter(|t| t.units >= units) {
+            profiling::count_dnnk_table_hit();
+            return backtrack(problem, &table, units);
+        }
+        let table = dp(problem, units).table;
+        let outcome = backtrack(problem, &table, units);
+        self.offer(edges, table);
+        outcome
+    }
+
+    /// Keeps `table` for `edges` if it is wider than the stored table,
+    /// or if the key is new and the memo has room for it.
+    pub(crate) fn offer(&self, edges: &[FalseEdge], table: ChoiceTable) {
+        let mut tables = self.lock();
+        let room = tables.len() < MAX_STORED_TABLES;
+        match tables.get_mut(edges) {
+            Some(stored) if table.units > stored.units => *stored = Arc::new(table),
+            Some(_) => {}
+            None if room => {
+                tables.insert(edges.to_vec(), Arc::new(table));
+            }
+            None => {}
+        }
+    }
+
+    /// `(stored tables, bytes they occupy)`.
+    pub(crate) fn footprint(&self) -> (usize, usize) {
+        let tables = self.lock();
+        (tables.len(), tables.values().map(|t| t.heap_bytes()).sum())
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<Vec<FalseEdge>, Arc<ChoiceTable>>> {
+        self.tables.lock().expect("table memo poisoned")
+    }
 }
 
 /// The DNNK value curve: entry `u` is the best achievable latency
@@ -127,21 +288,29 @@ pub fn allocate(problem: &AllocProblem<'_>) -> AllocOutcome {
 /// exactly into per-tenant curves plus a split of the shared capacity.
 #[must_use]
 pub fn gain_curve(problem: &AllocProblem<'_>) -> Vec<f64> {
+    gain_curve_storing(problem, None)
+}
+
+/// [`gain_curve`] of an initial coloring that offers the DP's choice
+/// table to `memo` as that coloring's table, so a later allocation at a
+/// budget within the curve's width is a backtrack.
+pub(crate) fn gain_curve_storing(problem: &AllocProblem<'_>, memo: Option<&TableMemo>) -> Vec<f64> {
     let n = problem.buffers.len();
-    let units = (problem.budget_bytes / CAPACITY_UNIT_BYTES) as usize;
+    let units = budget_units(problem);
     if n == 0 || units == 0 {
         return vec![0.0; units + 1];
     }
-    dp(problem, units).values
+    let DpTables { table, values } = dp(problem, units);
+    if let Some(memo) = memo {
+        memo.offer(&[], table);
+    }
+    values
 }
 
-/// The tables the shared DP produces: the full `choice` table
-/// (row-major, `n × (units+1)`; doubles as the paper's pbuf_table), the
-/// index into [`AllocProblem::options_of`] of the option taken in each
-/// taken cell, and the final value row (best gain per capacity).
+/// What the shared DP produces: the choice table and the final value
+/// row (best gain per capacity).
 struct DpTables {
-    choice: Vec<bool>,
-    option_choice: Vec<u8>,
+    table: ChoiceTable,
     values: Vec<f64>,
 }
 
@@ -202,11 +371,11 @@ fn dp(problem: &AllocProblem<'_>, units: usize) -> DpTables {
         .collect();
 
     // --- DP ------------------------------------------------------------
-    // choice[i][j]: buffer i taken in cell (i, j). This doubles as the
-    // paper's pbuf_table for pivot lookups. option_choice[i][j] is the
-    // index of the option taken there.
-    let mut choice = vec![false; n * (units + 1)];
-    let mut option_choice = vec![0u8; n * (units + 1)];
+    // Row i of `table` records whether buffer i is taken in cell (i, j),
+    // and with which option; it doubles as the paper's pbuf_table for
+    // pivot lookups. `row_states` is the row being filled, densely.
+    let mut table = ChoiceTable::new(units);
+    let mut row_states = vec![NOT_TAKEN; units + 1];
     let mut prev_l = vec![0.0f64; units + 1];
     let mut cur_l = vec![0.0f64; units + 1];
 
@@ -336,12 +505,11 @@ fn dp(problem: &AllocProblem<'_>, units: usize) -> DpTables {
         let keys: Vec<u64> = if use_cache {
             let mut keys = vec![0u64; units + 1];
             for (bit, &r) in relevant.iter().enumerate() {
-                let row = &choice[r * (units + 1)..(r + 1) * (units + 1)];
-                for (k, &c) in keys.iter_mut().zip(row) {
-                    if c {
+                table.for_each_taken(r, |first, end| {
+                    for k in &mut keys[first..end] {
                         *k |= 1 << bit;
                     }
-                }
+                });
             }
             keys
         } else {
@@ -362,7 +530,7 @@ fn dp(problem: &AllocProblem<'_>, units: usize) -> DpTables {
         // still compares the options in list order and the pinned option
         // (entry 0) wins ties. A one-option row is the paper's binary
         // knapsack item.
-        let row = i * (units + 1);
+        row_states.fill(NOT_TAKEN);
         cur_l.copy_from_slice(&prev_l);
         for (oi, option) in problem.options_of(i).iter().enumerate() {
             let size = capacity_units(option.bytes);
@@ -408,7 +576,7 @@ fn dp(problem: &AllocProblem<'_>, units: usize) -> DpTables {
                     // Residency context at this capacity (the pbuf_table
                     // approximation of Alg. 1).
                     let ctx_on = |v: ValueId| -> bool {
-                        owner_of(v).is_some_and(|o| o < i && choice[o * (units + 1) + j])
+                        owner_of(v).is_some_and(|o| o < i && table.state(o, j) != NOT_TAKEN)
                     };
                     let with_i = |v: ValueId| -> bool {
                         ctx_on(v) || members_sorted.binary_search(&v).is_ok()
@@ -424,17 +592,16 @@ fn dp(problem: &AllocProblem<'_>, units: usize) -> DpTables {
                 let l1 = prev_l[j - size] + gain;
                 if l1 > cur_l[j] {
                     cur_l[j] = l1;
-                    choice[row + j] = true;
-                    option_choice[row + j] = oi as u8;
+                    row_states[j] = oi as u8 + 1;
                 }
             }
         }
+        table.push_row(&row_states);
         std::mem::swap(&mut prev_l, &mut cur_l);
     }
 
     DpTables {
-        choice,
-        option_choice,
+        table,
         values: prev_l,
     }
 }
@@ -544,6 +711,101 @@ mod tests {
         assert!(out.bytes <= budget, "{} > {}", out.bytes, budget);
         let empty = problem.latency_of(&vec![false; bufs.len()]);
         assert!(out.latency <= empty + 1e-12);
+    }
+
+    #[test]
+    fn run_length_rows_match_their_dense_states() {
+        let rows: [&[u8]; 4] = [
+            &[0, 0, 0, 0, 0, 0],
+            &[0, 1, 1, 2, 2, 1],
+            &[3, 3, 0, 0, 1, 1],
+            &[1, 1, 1, 1, 1, 1],
+        ];
+        let mut table = ChoiceTable::new(5);
+        for row in rows {
+            table.push_row(row);
+        }
+        // One run per state change.
+        assert_eq!(table.run_starts.len(), 1 + 4 + 3 + 1);
+        for (i, row) in rows.iter().enumerate() {
+            for (j, &state) in row.iter().enumerate() {
+                assert_eq!(table.state(i, j), state, "cell ({i}, {j})");
+            }
+            let mut taken = vec![false; row.len()];
+            table.for_each_taken(i, |first, end| taken[first..end].fill(true));
+            let dense: Vec<bool> = row.iter().map(|&s| s != NOT_TAKEN).collect();
+            assert_eq!(taken, dense, "row {i}");
+        }
+    }
+
+    /// The prefix argument the table memo rests on: a table filled at
+    /// the widest budget answers every narrower budget exactly as a DP
+    /// run at that budget, options and latency bits included.
+    #[test]
+    fn wide_table_backtracks_every_narrower_budget_exactly() {
+        use crate::prefetch::StreamingMode;
+        let g = chain_graph();
+        let (d, p) = setup(&g);
+        let ev = Evaluator::new(&g, &p);
+        let plan = real_plan(&g, &d, &p);
+        let bufs = singleton_buffers(&g, &ev);
+        let wide = 200 * CAPACITY_UNIT_BYTES;
+        let table = dp(
+            &AllocProblem::with_streaming(&ev, &bufs, wide, &plan, StreamingMode::Auto),
+            200,
+        )
+        .table;
+        for units in 1..=200 {
+            let budget = units as u64 * CAPACITY_UNIT_BYTES + 7;
+            let problem =
+                AllocProblem::with_streaming(&ev, &bufs, budget, &plan, StreamingMode::Auto);
+            let fresh = allocate(&problem);
+            let read = backtrack(&problem, &table, units);
+            assert_eq!(read.chosen, fresh.chosen, "{units} units");
+            assert_eq!(read.modes, fresh.modes, "{units} units");
+            assert_eq!(read.latency.to_bits(), fresh.latency.to_bits());
+        }
+    }
+
+    #[test]
+    fn table_memo_keeps_the_widest_table_per_key_up_to_its_cap() {
+        let g = chain_graph();
+        let (_, p) = setup(&g);
+        let ev = Evaluator::new(&g, &p);
+        let bufs = singleton_buffers(&g, &ev);
+        let plan = PrefetchPlan::default();
+        let memo = TableMemo::default();
+        let at = |units: u64| AllocProblem::new(&ev, &bufs, units * CAPACITY_UNIT_BYTES, &plan);
+        let hits_of = |problem: &AllocProblem<'_>, edges: &[FalseEdge]| {
+            crate::profiling::reset_counters();
+            let out = memo.allocate(problem, edges);
+            let c = crate::profiling::snapshot_counters();
+            assert_eq!(out.chosen, allocate(problem).chosen);
+            (c.dnnk_table_hits, c.dnnk_dp_cells)
+        };
+        // A miss runs and stores the DP; a budget as wide or narrower
+        // backtracks and fills no cell; one unit wider runs the DP and
+        // replaces the table.
+        assert!(matches!(hits_of(&at(40), &[]), (0, cells) if cells > 0));
+        assert_eq!(hits_of(&at(10), &[]), (1, 0));
+        assert_eq!(hits_of(&at(40), &[]), (1, 0));
+        assert!(matches!(hits_of(&at(41), &[]), (0, cells) if cells > 0));
+        assert!(matches!(hits_of(&at(80), &[]), (0, cells) if cells > 0));
+        assert_eq!(hits_of(&at(60), &[]), (1, 0));
+        assert_eq!(memo.footprint().0, 1);
+        // Other keys fill the memo up to its cap; past it, a new key's
+        // DP runs without being stored.
+        let edge = |k: usize| {
+            let v = ValueId::Feature(NodeId::new(k));
+            (v, ValueId::Weight(NodeId::new(k)))
+        };
+        for k in 1..MAX_STORED_TABLES + 4 {
+            memo.allocate(&at(20), &[edge(k)]);
+        }
+        assert_eq!(memo.footprint().0, MAX_STORED_TABLES);
+        let past_cap = [edge(MAX_STORED_TABLES + 2)];
+        assert!(matches!(hits_of(&at(10), &past_cap), (0, cells) if cells > 0));
+        assert_eq!(hits_of(&at(10), &[edge(1)]), (1, 0));
     }
 
     #[test]

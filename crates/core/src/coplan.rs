@@ -17,8 +17,8 @@
 
 use crate::alloc::{dnnk, AllocProblem};
 use crate::eval::Evaluator;
-use crate::pipeline::{build_front_end, FrontEnd, LcmmOptions};
-use crate::prefetch::StreamingMode;
+use crate::pipeline::{build_front_end, LcmmOptions};
+use crate::splitting::color_all;
 use lcmm_fpga::{AccelDesign, GraphProfile};
 use lcmm_graph::Graph;
 
@@ -90,42 +90,16 @@ pub fn tenant_gain_curve(
     let evaluator = Evaluator::new(graph, effective);
     let front = build_front_end(graph, effective, &evaluator, design, options, &fusion, None)
         .expect("the front end is infallible without a cancel token");
-    curve_from_front_end(&evaluator, &front, options.weight_streaming, pool_bytes)
-}
-
-/// Initial buffer coloring of prebuilt pass 1–2 artifacts, as in
-/// `splitting::refine` before any split. Pool-independent, so
-/// [`crate::delta::PlanArtifacts`] computes it once per artifact set.
-pub(crate) fn initial_coloring(front: &FrontEnd) -> Vec<crate::interference::VirtualBuffer> {
-    let mut buffers = front.feature_graph.color();
-    buffers.extend(front.weight_graph.color());
-    buffers
-}
-
-/// Builds the DNNK value curve from prebuilt pass 1–2 artifacts.
-/// [`tenant_gain_curve`] and the artifact replays of [`crate::delta`]
-/// both route through here, so the two are bit-identical by
-/// construction.
-pub(crate) fn curve_from_front_end(
-    evaluator: &Evaluator<'_>,
-    front: &FrontEnd,
-    streaming: StreamingMode,
-    pool_bytes: u64,
-) -> GainCurve {
-    let buffers = initial_coloring(front);
-    curve_from_buffers(evaluator, front, &buffers, streaming, pool_bytes)
-}
-
-/// The DNNK value curve of an already-colored buffer set.
-pub(crate) fn curve_from_buffers(
-    evaluator: &Evaluator<'_>,
-    front: &FrontEnd,
-    buffers: &[crate::interference::VirtualBuffer],
-    streaming: StreamingMode,
-    pool_bytes: u64,
-) -> GainCurve {
-    let problem =
-        AllocProblem::with_streaming(evaluator, buffers, pool_bytes, &front.prefetch, streaming);
+    // The same DP as `PlanArtifacts::gain_curve`, on the same coloring,
+    // so the two routes are bit-identical by construction.
+    let buffers = color_all(&front.feature_graph, &front.weight_graph);
+    let problem = AllocProblem::with_streaming(
+        &evaluator,
+        &buffers,
+        pool_bytes,
+        &front.prefetch,
+        options.weight_streaming,
+    );
     GainCurve {
         values: dnnk::gain_curve(&problem),
     }

@@ -24,21 +24,28 @@
 //! See `docs/DELTA.md` for the artifact keys, the invariance argument,
 //! and the invalidation rules the harness layers on top.
 
+use crate::alloc::dnnk::{self, TableMemo};
+use crate::alloc::AllocProblem;
 use crate::cancel::CancelToken;
-use crate::coplan::{curve_from_buffers, initial_coloring, GainCurve, CAPACITY_UNIT_BYTES};
+use crate::coplan::{GainCurve, CAPACITY_UNIT_BYTES};
 use crate::error::LcmmError;
 use crate::eval::Evaluator;
-use crate::pipeline::{build_front_end, run_back_end, FrontEnd, LcmmOptions, Pipeline};
+use crate::pipeline::{
+    build_front_end, run_back_end, AllocatorKind, BackEnd, FrontEnd, LcmmOptions, Pipeline,
+};
 use crate::profiling;
+use crate::splitting::color_all;
 use crate::LcmmResult;
 use lcmm_fpga::{AccelDesign, GraphProfile};
 use lcmm_graph::Graph;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Budget-invariant pass artifacts for one `(graph, design, options)`
-/// point, plus a per-pool memo of DNNK gain curves.
+/// point, plus a per-pool memo of DNNK gain curves and a memo of DNNK
+/// choice tables that budget-only replans backtrack from.
 ///
 /// The stored options have `tensor_budget` normalised to `None`: the
 /// budget is the one degree of freedom a replay varies, so two requests
@@ -61,6 +68,10 @@ pub struct PlanArtifacts {
     graph_nodes: usize,
     colored: std::sync::OnceLock<Vec<crate::interference::VirtualBuffer>>,
     curves: Mutex<HashMap<u64, Arc<GainCurve>>>,
+    tables: TableMemo,
+    /// Whether [`Self::take_front_end_seconds`] has handed out the build's
+    /// pass 1–2 timings.
+    front_end_reported: AtomicBool,
 }
 
 impl PlanArtifacts {
@@ -111,6 +122,8 @@ impl PlanArtifacts {
             graph_nodes: graph.len(),
             colored: std::sync::OnceLock::new(),
             curves: Mutex::new(HashMap::new()),
+            tables: TableMemo::default(),
+            front_end_reported: AtomicBool::new(false),
         })
     }
 
@@ -162,13 +175,26 @@ impl PlanArtifacts {
         Ok(())
     }
 
+    /// The initial coloring of the cached interference graphs, computed
+    /// once per artifact set.
+    fn initial_buffers(&self) -> &[crate::interference::VirtualBuffer] {
+        self.colored
+            .get_or_init(|| color_all(&self.front.feature_graph, &self.front.weight_graph))
+    }
+
     /// Replays passes 3–4 + reporting at `budget` (bytes; `None` = the
     /// design's full SRAM budget).
     ///
     /// Bit-identical to running [`crate::PlanRequest`] from scratch
     /// with the same design and `options.with_tensor_budget(budget)`:
     /// the scratch route computes the same front end this struct
-    /// cached, then calls the same back end this method calls.
+    /// cached, then calls the same back end this method calls. Under
+    /// `allocator: dnnk`, each allocation whose buffer set has a stored
+    /// choice table at least as wide as the budget is a backtrack from
+    /// it; any other allocation runs the DP the scratch route runs and
+    /// offers its table to the memo (see `docs/DELTA.md`). The result's
+    /// stats report 0 s for liveness and prefetch, which this replan
+    /// did not run.
     pub fn replan_with_budget(
         &self,
         graph: &Graph,
@@ -181,16 +207,33 @@ impl PlanArtifacts {
         let options = self.options.with_tensor_budget(budget);
         let profile = self.effective_profile();
         let evaluator = Evaluator::new(graph, profile);
-        run_back_end(
+        run_back_end(BackEnd {
             graph,
-            self.design.clone(),
+            design: self.design.clone(),
             profile,
-            &evaluator,
-            &options,
-            self.front.clone(),
+            evaluator: &evaluator,
+            options: &options,
+            front: &self.front,
+            initial_buffers: Some(self.initial_buffers()),
+            tables: Some(&self.tables),
             t_total,
             cancel,
-        )
+        })
+    }
+
+    /// Wall clock `(liveness, prefetch)` of the passes 1–2 this artifact
+    /// set was built with, handed out to the first caller only: a
+    /// daemon recording pass timings records each build once, however
+    /// many replans the build serves.
+    pub fn take_front_end_seconds(&self) -> Option<(f64, f64)> {
+        (!self.front_end_reported.swap(true, Ordering::Relaxed))
+            .then_some((self.front.liveness_seconds, self.front.prefetch_seconds))
+    }
+
+    /// `(tables, bytes)` of the DNNK choice tables stored for replans.
+    #[must_use]
+    pub fn table_footprint(&self) -> (usize, usize) {
+        self.tables.footprint()
     }
 
     /// The tenant's DNNK gain curve against a capacity pool of
@@ -198,7 +241,10 @@ impl PlanArtifacts {
     ///
     /// Bit-identical to [`crate::tenant_gain_curve`] on the same
     /// inputs — both routes colour the cached interference graphs and
-    /// run the same DNNK DP.
+    /// run the same DNNK DP. That DP is also the initial coloring's
+    /// allocation DP at the pool's width, so its choice table joins the
+    /// table memo: a replan at a budget within the pool then starts
+    /// with a backtrack.
     pub fn gain_curve(&self, graph: &Graph, pool_bytes: u64) -> Result<Arc<GainCurve>, LcmmError> {
         self.check_graph(graph)?;
         let mut curves = self.curves.lock().expect("curve memo poisoned");
@@ -214,14 +260,16 @@ impl PlanArtifacts {
             GainCurve::from_values(wider.values()[..=units].to_vec())
         } else {
             let evaluator = Evaluator::new(graph, self.effective_profile());
-            let buffers = self.colored.get_or_init(|| initial_coloring(&self.front));
-            curve_from_buffers(
+            let problem = AllocProblem::with_streaming(
                 &evaluator,
-                &self.front,
-                buffers,
-                self.options.weight_streaming,
+                self.initial_buffers(),
                 pool_bytes,
-            )
+                &self.front.prefetch,
+                self.options.weight_streaming,
+            );
+            // Only `allocator: dnnk` replans read the memo.
+            let memo = (self.options.allocator == AllocatorKind::Dnnk).then_some(&self.tables);
+            GainCurve::from_values(dnnk::gain_curve_storing(&problem, memo))
         };
         let curve = Arc::new(curve);
         curves.insert(pool_bytes, Arc::clone(&curve));
@@ -344,6 +392,62 @@ mod tests {
         }
         // Every pool size got its own memo entry.
         assert_eq!(artifacts.cached_curves(), 5);
+    }
+
+    #[test]
+    fn replans_report_only_the_work_they_did() {
+        let g = zoo::googlenet();
+        let artifacts = PlanArtifacts::build(&g, base(&g), LcmmOptions::default(), None).unwrap();
+        let full = artifacts.design().tensor_sram_budget();
+        let wide = artifacts.replan_with_budget(&g, None, None).unwrap();
+        let narrow = artifacts
+            .replan_with_budget(&g, Some(full / 4), None)
+            .unwrap();
+        for r in [&wide, &narrow] {
+            assert_eq!(r.stats.liveness_seconds, 0.0, "pass 1 ran in the build");
+            assert_eq!(r.stats.prefetch_seconds, 0.0, "pass 2 ran in the build");
+        }
+        // The full budget ran the DPs; the narrower one backtracks at
+        // least its initial allocation, and fills fewer cells.
+        assert_eq!(wide.stats.dnnk_table_hits, 0);
+        assert!(wide.stats.dnnk_dp_cells > 0);
+        assert!(narrow.stats.dnnk_table_hits > 0);
+        assert!(narrow.stats.dnnk_dp_cells < wide.stats.dnnk_dp_cells);
+        // The scratch route ran passes 1-2 and reports them.
+        let scratch = PlanRequest::new(&g, &Device::vu9p(), Precision::Fix16)
+            .with_design(base(&g))
+            .run()
+            .unwrap();
+        assert!(scratch.stats.liveness_seconds > 0.0);
+        assert!(scratch.stats.prefetch_seconds > 0.0);
+        assert_eq!(scratch.stats.dnnk_table_hits, 0);
+        assert_eq!(scratch.stats.dnnk_dp_cells, wide.stats.dnnk_dp_cells);
+        // The build's pass 1-2 timings are handed out once.
+        assert!(artifacts.take_front_end_seconds().is_some());
+        assert_eq!(artifacts.take_front_end_seconds(), None);
+    }
+
+    #[test]
+    fn gain_curve_stores_the_initial_coloring_table() {
+        let g = zoo::alexnet();
+        let artifacts = PlanArtifacts::build(&g, base(&g), LcmmOptions::default(), None).unwrap();
+        let full = artifacts.design().tensor_sram_budget();
+        artifacts.gain_curve(&g, full).unwrap();
+        assert_eq!(artifacts.table_footprint().0, 1);
+        let replan = artifacts
+            .replan_with_budget(&g, Some(full / 2), None)
+            .unwrap();
+        assert!(
+            replan.stats.dnnk_table_hits > 0,
+            "initial allocation backtracks"
+        );
+        let scratch = PlanRequest::new(&g, &Device::vu9p(), Precision::Fix16)
+            .options(LcmmOptions::default().with_tensor_budget(Some(full / 2)))
+            .with_design(base(&g))
+            .run()
+            .unwrap();
+        assert_eq!(replan.latency.to_bits(), scratch.latency.to_bits());
+        assert_eq!(replan.chosen, scratch.chosen);
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! them three things:
 //!
 //! 1. **Memoization** — every artefact is cached behind a concurrent
-//!    map keyed by a deterministic JSON fingerprint of its inputs (for
-//!    the graph, its memoized [`Graph::fingerprint`]), so e.g. the
-//!    three Fig. 8 ablation variants share one profile of the common
-//!    derated design.
+//!    map keyed by a deterministic JSON fingerprint of its inputs: the
+//!    graph part is the graph's memoized [`Graph::fingerprint_key`]
+//!    (one shared copy of its JSON per graph, not one per entry) and
+//!    the rest is serialized per key, so e.g. the three Fig. 8 ablation
+//!    variants share one profile of the common derated design.
 //! 2. **Parallelism** — [`Harness::par_map`] fans a work list out over
 //!    `jobs` OS threads while preserving input order, so report output
 //!    is byte-identical between `--jobs 1` and any parallel run (the
@@ -30,18 +31,24 @@ use crate::pipeline::{LcmmOptions, LcmmResult, Pipeline};
 use crate::profiling::PassStats;
 use crate::umm::UmmBaseline;
 use lcmm_fpga::{AccelDesign, Device, GraphProfile, Precision};
-use lcmm_graph::Graph;
+use lcmm_graph::{Fingerprint, Graph};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+
+/// A cache key: the graph's shared fingerprint and the `\u{1}`-joined
+/// JSON of the other inputs. Joined with `\u{1}` the two parts are the
+/// full serialized inputs, and the tuple orders exactly as that joined
+/// string would (compact JSON never contains a raw `\u{1}`).
+type Key = (Fingerprint, String);
 
 /// A concurrent memo table: one `OnceLock` per key so a value is
 /// computed exactly once even when several workers request it at the
 /// same moment (late arrivals block on the in-flight computation
 /// instead of redoing it).
 struct Cache<T> {
-    map: Mutex<HashMap<String, Arc<OnceLock<Arc<T>>>>>,
+    map: Mutex<HashMap<Key, Arc<OnceLock<Arc<T>>>>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
 }
@@ -55,7 +62,7 @@ impl<T> Cache<T> {
         }
     }
 
-    fn get_or_compute(&self, key: String, compute: impl FnOnce() -> T) -> Arc<T> {
+    fn get_or_compute(&self, key: Key, compute: impl FnOnce() -> T) -> Arc<T> {
         let cell = {
             let mut map = self.map.lock().expect("cache lock poisoned");
             map.entry(key)
@@ -84,7 +91,7 @@ impl<T> Cache<T> {
     /// values, so both threads still observe one shared `Arc`.
     fn try_get_or_compute<E>(
         &self,
-        key: String,
+        key: Key,
         compute: impl FnOnce() -> Result<T, E>,
     ) -> Result<Arc<T>, E> {
         let cell = {
@@ -116,14 +123,12 @@ impl<T> Cache<T> {
             .collect()
     }
 
-    /// Drops every entry whose key starts with `prefix`, returning how
-    /// many were removed. Every harness key starts with the graph's
-    /// fingerprint followed by `\u{1}`, so a graph-fingerprint prefix
-    /// evicts exactly that graph's artefacts.
-    fn remove_prefix(&self, prefix: &str) -> usize {
+    /// Drops every entry derived from the graph with fingerprint
+    /// `graph`, returning how many were removed.
+    fn remove_graph(&self, graph: &Fingerprint) -> usize {
         let mut map = self.map.lock().expect("cache lock poisoned");
         let before = map.len();
-        map.retain(|key, _| !key.starts_with(prefix));
+        map.retain(|key, _| key.0 != *graph);
         before - map.len()
     }
 
@@ -300,11 +305,9 @@ impl Harness {
         device: &Device,
         precision: Precision,
     ) -> Result<Arc<AccelDesign>, LcmmError> {
-        let key = format!(
-            "{}\u{1}{}\u{1}{}",
-            graph.fingerprint(),
-            fp(device),
-            fp(&precision)
+        let key = (
+            graph.fingerprint_key().clone(),
+            format!("{}\u{1}{}", fp(device), fp(&precision)),
         );
         self.designs.try_get_or_compute(key, || {
             AccelDesign::try_explore(graph, device, precision).map_err(LcmmError::BudgetInfeasible)
@@ -313,7 +316,7 @@ impl Harness {
 
     /// The operation latency table of `design` on `graph`, memoized.
     pub fn profile(&self, graph: &Graph, design: &AccelDesign) -> Arc<GraphProfile> {
-        let key = format!("{}\u{1}{}", graph.fingerprint(), fp(design));
+        let key = (graph.fingerprint_key().clone(), fp(design));
         self.profiles.get_or_compute(key, || design.profile(graph))
     }
 
@@ -332,7 +335,7 @@ impl Harness {
     /// The UMM baseline of an explicit design (batch studies, granular
     /// DDR variants), memoized.
     pub fn baseline_from_design(&self, graph: &Graph, design: &AccelDesign) -> Arc<UmmBaseline> {
-        let key = format!("{}\u{1}{}", graph.fingerprint(), fp(design));
+        let key = (graph.fingerprint_key().clone(), fp(design));
         self.baselines
             .get_or_compute(key, || UmmBaseline::from_design(graph, design.clone()))
     }
@@ -389,41 +392,22 @@ impl Harness {
         options: LcmmOptions,
         cancel: Option<&CancelToken>,
     ) -> Result<Arc<LcmmResult>, LcmmError> {
-        let design = Pipeline::new(options).lcmm_design(base.clone());
-        let key = format!(
-            "{}\u{1}{}\u{1}{}",
-            graph.fingerprint(),
-            fp(&design),
-            fp(&options)
+        let pipeline = Pipeline::new(options);
+        let design = pipeline.lcmm_design(base.clone());
+        let key = (
+            graph.fingerprint_key().clone(),
+            format!("{}\u{1}{}", fp(&design), fp(&options)),
         );
         let run = self.results.try_get_or_compute::<LcmmError>(key, || {
-            let result = self.try_plan_with_design(graph, base, options, cancel)?;
+            let profile = self.profile(graph, &design);
+            let result =
+                pipeline.run_with_profile_checked(graph, design.clone(), &profile, cancel)?;
             Ok(MemoRun {
                 label: run_label(graph, &design, &options),
                 result: Arc::new(result),
             })
         })?;
         Ok(Arc::clone(&run.result))
-    }
-
-    /// [`Harness::try_lcmm_with_design`] without its result memo: the
-    /// derated design's profile still comes from the shared profile
-    /// cache, but the result is neither stored nor counted in
-    /// `result_*`, so it does not appear in the `--profile` report. The
-    /// serve daemon's plan path runs this, because its own bounded plan
-    /// LRU is the result cache there and a harness copy of every
-    /// computed plan would grow without bound.
-    pub fn try_plan_with_design(
-        &self,
-        graph: &Graph,
-        base: &AccelDesign,
-        options: LcmmOptions,
-        cancel: Option<&CancelToken>,
-    ) -> Result<LcmmResult, LcmmError> {
-        let pipeline = Pipeline::new(options);
-        let design = pipeline.lcmm_design(base.clone());
-        let profile = self.profile(graph, &design);
-        pipeline.run_with_profile_checked(graph, design, &profile, cancel)
     }
 
     /// Budget-invariant delta-plan artifacts (passes 1–2 + gain-curve
@@ -441,11 +425,9 @@ impl Harness {
     ) -> Result<Arc<PlanArtifacts>, LcmmError> {
         let options = options.with_tensor_budget(None);
         let design = Pipeline::new(options).lcmm_design(base.clone());
-        let key = format!(
-            "{}\u{1}{}\u{1}{}",
-            graph.fingerprint(),
-            fp(&design),
-            fp(&options)
+        let key = (
+            graph.fingerprint_key().clone(),
+            format!("{}\u{1}{}", fp(&design), fp(&options)),
         );
         self.artifacts_keyed(key, graph, &design, options, cancel)
     }
@@ -455,7 +437,7 @@ impl Harness {
     /// path) do not serialise the design a second time.
     fn artifacts_keyed(
         &self,
-        key: String,
+        key: Key,
         graph: &Graph,
         design: &AccelDesign,
         options: LcmmOptions,
@@ -486,10 +468,16 @@ impl Harness {
         // one design fingerprint) serves both the result key and the
         // artifact key; the graph's fingerprint is memoized on the graph.
         let design = Pipeline::new(options).lcmm_design(base.clone());
-        let graph_fp = graph.fingerprint();
+        let graph_fp = graph.fingerprint_key();
         let design_fp = fp(&design);
-        let key = format!("{graph_fp}\u{1}{design_fp}\u{1}{}", fp(&options));
-        let artifact_key = format!("{graph_fp}\u{1}{design_fp}\u{1}{}", fp(&normalised));
+        let key = (
+            graph_fp.clone(),
+            format!("{design_fp}\u{1}{}", fp(&options)),
+        );
+        let artifact_key = (
+            graph_fp.clone(),
+            format!("{design_fp}\u{1}{}", fp(&normalised)),
+        );
         let run = self.results.try_get_or_compute::<LcmmError>(key, || {
             let artifacts =
                 self.artifacts_keyed(artifact_key, graph, &design, normalised, cancel)?;
@@ -509,12 +497,12 @@ impl Harness {
     /// registered model's graph *content* changes, so a re-registered
     /// digest never serves stale artifacts.
     pub fn invalidate_graph(&self, graph: &Graph) -> usize {
-        let prefix = format!("{}\u{1}", graph.fingerprint());
-        self.designs.remove_prefix(&prefix)
-            + self.profiles.remove_prefix(&prefix)
-            + self.baselines.remove_prefix(&prefix)
-            + self.results.remove_prefix(&prefix)
-            + self.artifacts.remove_prefix(&prefix)
+        let fingerprint = graph.fingerprint_key();
+        self.designs.remove_graph(fingerprint)
+            + self.profiles.remove_graph(fingerprint)
+            + self.baselines.remove_graph(fingerprint)
+            + self.results.remove_graph(fingerprint)
+            + self.artifacts.remove_graph(fingerprint)
     }
 
     /// UMM baseline and full-LCMM result side by side (the memoized
@@ -635,37 +623,6 @@ mod tests {
         assert_eq!(via.latency, direct.latency);
         assert_eq!(via.residency, direct.residency);
         assert_eq!(via.chosen, direct.chosen);
-    }
-
-    #[test]
-    fn unmemoized_plan_matches_memoized_and_leaves_no_trace() {
-        let h = Harness::new(1);
-        let g = small_graph();
-        let base = h.design(&g, &Device::vu9p(), Precision::Fix16);
-        let options = LcmmOptions::default()
-            .with_tensor_budget(Some(base.tensor_sram_budget() / 2))
-            .with_weight_streaming(crate::StreamingMode::Auto);
-        let memoized = h
-            .try_lcmm_with_design(&g, &base, options, None)
-            .expect("feasible");
-        let before = h.cache_stats();
-        let runs_before = h.profile_report().runs.len();
-        let plain = h
-            .try_plan_with_design(&g, &base, options, None)
-            .expect("feasible");
-        assert_eq!(plain.latency.to_bits(), memoized.latency.to_bits());
-        assert_eq!(plain.residency, memoized.residency);
-        assert_eq!(plain.chosen, memoized.chosen);
-        assert_eq!(plain.weight_modes, memoized.weight_modes);
-        let after = h.cache_stats();
-        assert_eq!(after.result_hits, before.result_hits);
-        assert_eq!(after.result_misses, before.result_misses);
-        assert_eq!(h.profile_report().runs.len(), runs_before);
-        assert_eq!(
-            after.profile_hits,
-            before.profile_hits + 1,
-            "shared profile"
-        );
     }
 
     #[test]
@@ -866,10 +823,18 @@ mod tests {
 
     #[test]
     fn keys_are_the_serialized_inputs() {
-        // Keys are the compact JSON of every input, graph included, so
-        // the memoized graph fingerprint must leave them unchanged.
+        // Keys are the compact JSON of every input, graph included: the
+        // (graph part, rest) pair joined with `\u{1}` is the serialized
+        // inputs, and the graph part shares the graph's memoized text
+        // instead of copying it.
         fn keys<T>(cache: &Cache<T>) -> Vec<String> {
-            cache.map.lock().unwrap().keys().cloned().collect()
+            cache
+                .map
+                .lock()
+                .unwrap()
+                .keys()
+                .map(|(graph, rest)| format!("{}\u{1}{rest}", graph.as_str()))
+                .collect()
         }
         let h = Harness::new(1);
         let g = small_graph();
@@ -895,6 +860,9 @@ mod tests {
                 serde_json::to_string(&options).unwrap()
             )]
         );
+        for (graph, _) in h.results.map.lock().unwrap().keys() {
+            assert!(std::ptr::eq(graph.as_str(), g.fingerprint()));
+        }
     }
 
     #[test]

@@ -37,13 +37,25 @@ use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
 
 /// An interference graph over tensor values.
 ///
+/// A false edge between two values, smaller value first.
+pub(crate) type FalseEdge = (ValueId, ValueId);
+
+/// The false edge between `a` and `b`, in its stored orientation.
+pub(crate) fn false_edge(a: ValueId, b: ValueId) -> FalseEdge {
+    if a < b {
+        (a, b)
+    } else {
+        (b, a)
+    }
+}
+
 /// Edges come from lifespan overlap, plus any *false* edges added by the
 /// buffer-splitting pass (§3.4) to force two compatible values apart.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct InterferenceGraph {
     nodes: Vec<(ValueId, u64)>,
     intervals: HashMap<ValueId, LiveInterval>,
-    false_edges: HashSet<(ValueId, ValueId)>,
+    false_edges: HashSet<FalseEdge>,
 }
 
 impl InterferenceGraph {
@@ -61,8 +73,7 @@ impl InterferenceGraph {
 
     /// Adds a false lifespan-overlap edge (used by buffer splitting).
     pub fn add_false_edge(&mut self, a: ValueId, b: ValueId) {
-        let key = if a < b { (a, b) } else { (b, a) };
-        self.false_edges.insert(key);
+        self.false_edges.insert(false_edge(a, b));
     }
 
     /// Number of false edges currently in force.
@@ -77,8 +88,7 @@ impl InterferenceGraph {
         if a == b {
             return false;
         }
-        let key = if a < b { (a, b) } else { (b, a) };
-        if self.false_edges.contains(&key) {
+        if self.false_edges.contains(&false_edge(a, b)) {
             return true;
         }
         match (self.intervals.get(&a), self.intervals.get(&b)) {

@@ -1,16 +1,17 @@
 //! The LCMM pipeline (paper Fig. 4): feature buffer reuse → weight
 //! buffer prefetching → DNNK allocation → buffer splitting.
 
-use crate::alloc::{dnnk, dnnk_iterative, exhaustive, greedy, AllocProblem};
+use crate::alloc::dnnk::{self, TableMemo};
+use crate::alloc::{dnnk_iterative, exhaustive, greedy, AllocProblem};
 use crate::cancel::{check_opt, CancelToken};
 use crate::error::LcmmError;
 use crate::eval::{Evaluator, Residency};
 use crate::fusion::{FusionMode, FusionPlan};
-use crate::interference::{InterferenceGraph, VirtualBuffer};
+use crate::interference::{FalseEdge, InterferenceGraph, VirtualBuffer};
 use crate::liveness::{feature_lifespans, Schedule};
 use crate::prefetch::{PrefetchPlan, StreamingMode, WeightMode};
 use crate::profiling::{self, PassStats};
-use crate::splitting::{refine, SplitConfig};
+use crate::splitting::{color_all, refine_from, SplitConfig, SplitInputs};
 use crate::umm::UmmBaseline;
 use crate::value::ValueTable;
 use lcmm_fpga::{
@@ -367,16 +368,21 @@ impl Pipeline {
             &fusion,
             cancel,
         )?;
-        run_back_end(
+        let mut result = run_back_end(BackEnd {
             graph,
             design,
-            effective,
-            &evaluator,
-            &self.options,
-            front,
+            profile: effective,
+            evaluator: &evaluator,
+            options: &self.options,
+            front: &front,
+            initial_buffers: None,
+            tables: None,
             t_total,
             cancel,
-        )
+        })?;
+        result.stats.liveness_seconds = front.liveness_seconds;
+        result.stats.prefetch_seconds = front.prefetch_seconds;
+        Ok(result)
     }
 }
 
@@ -499,63 +505,84 @@ pub(crate) fn effective_budget(options: &LcmmOptions, design: &AccelDesign) -> u
     }
 }
 
-/// Runs passes 3–4 and reporting on prebuilt front-end artifacts — the
-/// budget-dependent tail of the pipeline. `t_total` anchors the run's
-/// `total_seconds` (the caller started the clock before the front end,
-/// or before the replay for a delta replan). The caller must have reset
-/// the profiling counters at the same anchor.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_back_end(
-    graph: &Graph,
-    design: AccelDesign,
-    profile: &GraphProfile,
-    evaluator: &Evaluator<'_>,
-    options: &LcmmOptions,
-    front: FrontEnd,
-    t_total: Instant,
-    cancel: Option<&CancelToken>,
-) -> Result<LcmmResult, LcmmError> {
-    let FrontEnd {
-        feature_graph,
-        weight_graph,
-        prefetch,
-        fusion,
-        liveness_seconds,
-        prefetch_seconds,
-    } = front;
+/// What the budget-dependent tail of the pipeline runs on: prebuilt
+/// front-end artifacts plus the budget-carrying options.
+pub(crate) struct BackEnd<'a> {
+    pub graph: &'a Graph,
+    pub design: AccelDesign,
+    /// The latency table the front end was built against (fused when
+    /// fusion selected groups).
+    pub profile: &'a GraphProfile,
+    pub evaluator: &'a Evaluator<'a>,
+    pub options: &'a LcmmOptions,
+    pub front: &'a FrontEnd,
+    /// The initial coloring of the front end's graphs, when the caller
+    /// keeps one; `None` colors them here.
+    pub initial_buffers: Option<&'a [VirtualBuffer]>,
+    /// Stored DNNK tables that answer `allocator: dnnk` calls (delta
+    /// replans); `None` runs every DP fresh.
+    pub tables: Option<&'a TableMemo>,
+    /// Anchors the run's `total_seconds`: the caller started it before
+    /// the front end, or before the replay for a delta replan, and
+    /// reset the profiling counters at the same point.
+    pub t_total: Instant,
+    pub cancel: Option<&'a CancelToken>,
+}
 
-    // The exact allocator enumerates 2^n subsets: refuse a buffer set it
-    // cannot enumerate instead of planning it with the empty allocation.
-    if options.allocator == AllocatorKind::Exhaustive {
-        let n = feature_graph.color().len() + weight_graph.color().len();
-        if n > exhaustive::MAX_BUFFERS {
-            return Err(LcmmError::InvalidRequest(format!(
-                "exhaustive allocator limited to {} buffers, got {n}",
-                exhaustive::MAX_BUFFERS
-            )));
-        }
-    }
+/// Runs passes 3–4 and reporting on prebuilt front-end artifacts — the
+/// budget-dependent tail of the pipeline. The result's stats report 0 s
+/// for liveness and prefetch, which ran elsewhere: a caller that ran
+/// them fills those fields in.
+pub(crate) fn run_back_end(inputs: BackEnd<'_>) -> Result<LcmmResult, LcmmError> {
+    let BackEnd {
+        graph,
+        design,
+        profile,
+        evaluator,
+        options,
+        front,
+        initial_buffers,
+        tables,
+        t_total,
+        cancel,
+    } = inputs;
 
     // --- Pass 3 + 4: DNNK allocation with splitting ------------------
     let t_pass = Instant::now();
+    let buffers = match initial_buffers {
+        Some(buffers) => buffers.to_vec(),
+        None => color_all(&front.feature_graph, &front.weight_graph),
+    };
+    // The exact allocator enumerates 2^n subsets: refuse a buffer set it
+    // cannot enumerate instead of planning it with the empty allocation.
+    if options.allocator == AllocatorKind::Exhaustive && buffers.len() > exhaustive::MAX_BUFFERS {
+        return Err(LcmmError::InvalidRequest(format!(
+            "exhaustive allocator limited to {} buffers, got {}",
+            exhaustive::MAX_BUFFERS,
+            buffers.len()
+        )));
+    }
     let allocator = allocator_fn(options.allocator);
+    let tables = tables.filter(|_| options.allocator == AllocatorKind::Dnnk);
+    let allocate = |problem: &AllocProblem<'_>, edges: &[FalseEdge]| match tables {
+        Some(tables) => tables.allocate(problem, edges),
+        None => allocator(problem),
+    };
     let split_config = if options.splitting {
         SplitConfig::default()
     } else {
         SplitConfig { max_iterations: 0 }
     };
-    let budget = effective_budget(options, &design);
-    let result = refine(
+    let split_inputs = SplitInputs {
         evaluator,
-        design.precision,
-        budget,
-        &prefetch,
-        options.weight_streaming,
-        feature_graph,
-        weight_graph,
-        allocator,
-        split_config,
-    );
+        precision: design.precision,
+        budget_bytes: effective_budget(options, &design),
+        plan: &front.prefetch,
+        streaming: options.weight_streaming,
+        feature_graph: &front.feature_graph,
+        weight_graph: &front.weight_graph,
+    };
+    let result = refine_from(&split_inputs, buffers, &allocate, split_config);
     let alloc_split_seconds = t_pass.elapsed().as_secs_f64();
     check_opt(cancel)?;
 
@@ -584,8 +611,6 @@ pub(crate) fn run_back_end(
     let reporting_seconds = t_pass.elapsed().as_secs_f64();
 
     let mut stats = PassStats::from_counters(profiling::snapshot_counters());
-    stats.liveness_seconds = liveness_seconds;
-    stats.prefetch_seconds = prefetch_seconds;
     stats.alloc_split_seconds = alloc_split_seconds;
     stats.reporting_seconds = reporting_seconds;
     stats.total_seconds = t_total.elapsed().as_secs_f64();
@@ -598,12 +623,12 @@ pub(crate) fn run_back_end(
         buffers: result.buffers,
         chosen: result.outcome.chosen,
         weight_modes: result.outcome.modes,
-        prefetch,
+        prefetch: front.prefetch.clone(),
         split_iterations: result.iterations,
         resources,
         memory_bound_layers: memory_bound.len(),
         layers_benefiting,
-        fusion,
+        fusion: front.fusion.clone(),
         stats,
     })
 }

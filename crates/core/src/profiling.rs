@@ -40,8 +40,12 @@ pub struct PassStats {
     pub evaluator_calls: u64,
     /// Allocator invocations by the refinement loop.
     pub allocator_invocations: u64,
-    /// DNNK DP cells visited (buffers × capacity columns).
+    /// DNNK DP cells filled (buffers × capacity columns of every DP
+    /// actually run; a backtrack from a stored table fills none).
     pub dnnk_dp_cells: u64,
+    /// DNNK allocations answered by a backtrack from a stored choice
+    /// table instead of a DP (delta replans only).
+    pub dnnk_table_hits: u64,
     /// DNNK gain-cache hits.
     pub gain_cache_hits: u64,
     /// DNNK gain-cache misses (gains actually computed).
@@ -62,6 +66,7 @@ pub(crate) struct Counters {
     pub evaluator_calls: u64,
     pub allocator_invocations: u64,
     pub dnnk_dp_cells: u64,
+    pub dnnk_table_hits: u64,
     pub gain_cache_hits: u64,
     pub gain_cache_misses: u64,
     pub gain_exact_recomputes: u64,
@@ -75,6 +80,7 @@ thread_local! {
         evaluator_calls: 0,
         allocator_invocations: 0,
         dnnk_dp_cells: 0,
+        dnnk_table_hits: 0,
         gain_cache_hits: 0,
         gain_cache_misses: 0,
         gain_exact_recomputes: 0,
@@ -114,6 +120,10 @@ pub(crate) fn add_dnnk_dp_cells(n: u64) {
     bump(|c| c.dnnk_dp_cells += n);
 }
 
+pub(crate) fn count_dnnk_table_hit() {
+    bump(|c| c.dnnk_table_hits += 1);
+}
+
 pub(crate) fn count_gain_cache_hit() {
     bump(|c| c.gain_cache_hits += 1);
 }
@@ -145,6 +155,7 @@ impl PassStats {
             evaluator_calls: c.evaluator_calls,
             allocator_invocations: c.allocator_invocations,
             dnnk_dp_cells: c.dnnk_dp_cells,
+            dnnk_table_hits: c.dnnk_table_hits,
             gain_cache_hits: c.gain_cache_hits,
             gain_cache_misses: c.gain_cache_misses,
             gain_exact_recomputes: c.gain_exact_recomputes,

@@ -11,11 +11,12 @@
 
 use crate::alloc::{AllocOutcome, AllocProblem};
 use crate::eval::{Evaluator, Residency};
-use crate::interference::{InterferenceGraph, VirtualBuffer};
+use crate::interference::{false_edge, FalseEdge, InterferenceGraph, VirtualBuffer};
 use crate::prefetch::{PrefetchPlan, StreamingMode};
 use crate::profiling;
 use crate::value::{ValueId, ValueKind};
 use lcmm_fpga::Precision;
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// Configuration of the splitting loop.
@@ -45,6 +46,33 @@ pub struct SplitResult {
 /// The allocator callback used by the refinement loop.
 pub type AllocatorFn = fn(&AllocProblem<'_>) -> AllocOutcome;
 
+/// The allocator as the refinement loop calls it internally: besides the
+/// problem it gets the sorted false edges its buffers were colored
+/// under, which identify the buffer set (the DNNK table-memo key).
+pub(crate) type Allocate<'a> = dyn Fn(&AllocProblem<'_>, &[FalseEdge]) -> AllocOutcome + 'a;
+
+/// What one refinement run plans against.
+pub(crate) struct SplitInputs<'a> {
+    pub evaluator: &'a Evaluator<'a>,
+    /// Sizes split candidates in bytes (see [`refine`]).
+    pub precision: Precision,
+    pub budget_bytes: u64,
+    pub plan: &'a PrefetchPlan,
+    pub streaming: StreamingMode,
+    pub feature_graph: &'a InterferenceGraph,
+    pub weight_graph: &'a InterferenceGraph,
+}
+
+/// Colors both interference graphs into one buffer list (features
+/// first), timing it as coloring.
+pub(crate) fn color_all(fg: &InterferenceGraph, wg: &InterferenceGraph) -> Vec<VirtualBuffer> {
+    let t = Instant::now();
+    let mut bufs = fg.color();
+    bufs.extend(wg.color());
+    profiling::add_coloring_seconds(t.elapsed().as_secs_f64());
+    bufs
+}
+
 /// Runs allocation, then iteratively splits misspilled buffers while it
 /// helps. `precision` sizes the split candidates (bytes, not element
 /// counts) so the decisions match the allocator's real buffer sizes.
@@ -56,57 +84,74 @@ pub fn refine(
     budget_bytes: u64,
     plan: &PrefetchPlan,
     streaming: StreamingMode,
-    mut feature_graph: InterferenceGraph,
-    mut weight_graph: InterferenceGraph,
+    feature_graph: InterferenceGraph,
+    weight_graph: InterferenceGraph,
     allocator: AllocatorFn,
     config: SplitConfig,
 ) -> SplitResult {
-    let color_all = |fg: &InterferenceGraph, wg: &InterferenceGraph| -> Vec<VirtualBuffer> {
-        let t = Instant::now();
-        let mut bufs = fg.color();
-        bufs.extend(wg.color());
-        profiling::add_coloring_seconds(t.elapsed().as_secs_f64());
-        bufs
+    let inputs = SplitInputs {
+        evaluator,
+        precision,
+        budget_bytes,
+        plan,
+        streaming,
+        feature_graph: &feature_graph,
+        weight_graph: &weight_graph,
     };
+    let buffers = color_all(&feature_graph, &weight_graph);
+    refine_from(&inputs, buffers, &|problem, _| allocator(problem), config)
+}
 
-    let mut buffers = color_all(&feature_graph, &weight_graph);
-    let mut best = {
-        let problem =
-            AllocProblem::with_streaming(evaluator, &buffers, budget_bytes, plan, streaming);
+/// [`refine`] from the initial coloring `buffers` of the input graphs.
+pub(crate) fn refine_from(
+    inputs: &SplitInputs<'_>,
+    mut buffers: Vec<VirtualBuffer>,
+    allocate: &Allocate<'_>,
+    config: SplitConfig,
+) -> SplitResult {
+    let allocate_for = |buffers: &[VirtualBuffer], edges: &[FalseEdge]| {
+        let problem = AllocProblem::with_streaming(
+            inputs.evaluator,
+            buffers,
+            inputs.budget_bytes,
+            inputs.plan,
+            inputs.streaming,
+        );
         profiling::count_allocator_invocation();
-        allocator(&problem)
+        allocate(&problem, edges)
     };
+    let mut feature_graph = Cow::Borrowed(inputs.feature_graph);
+    let mut weight_graph = Cow::Borrowed(inputs.weight_graph);
+    let mut edges: Vec<FalseEdge> = Vec::new();
+    let mut best = allocate_for(&buffers, &edges);
     let mut iterations = 0;
 
     while iterations < config.max_iterations {
-        let Some((a, b)) = propose_split(evaluator, precision, &buffers, &best) else {
+        let Some((a, b)) = propose_split(inputs.evaluator, inputs.precision, &buffers, &best)
+        else {
             break;
         };
         // Tentatively add the false edge in the owning graph.
         let mut fg = feature_graph.clone();
         let mut wg = weight_graph.clone();
         match a.kind() {
-            ValueKind::Feature => fg.add_false_edge(a, b),
-            ValueKind::Weight => wg.add_false_edge(a, b),
+            ValueKind::Feature => fg.to_mut().add_false_edge(a, b),
+            ValueKind::Weight => wg.to_mut().add_false_edge(a, b),
+        }
+        let edge = false_edge(a, b);
+        let mut new_edges = edges.clone();
+        if let Err(at) = new_edges.binary_search(&edge) {
+            new_edges.insert(at, edge);
         }
         let new_buffers = color_all(&fg, &wg);
-        let candidate = {
-            let problem = AllocProblem::with_streaming(
-                evaluator,
-                &new_buffers,
-                budget_bytes,
-                plan,
-                streaming,
-            );
-            profiling::count_allocator_invocation();
-            allocator(&problem)
-        };
+        let candidate = allocate_for(&new_buffers, &new_edges);
         if candidate.latency < best.latency {
             profiling::count_split_accepted();
             best = candidate;
             buffers = new_buffers;
             feature_graph = fg;
             weight_graph = wg;
+            edges = new_edges;
             iterations += 1;
         } else {
             profiling::count_split_rejected();

@@ -203,3 +203,179 @@ fn invalidation_never_serves_stale_artifacts() {
     assert!(Arc::ptr_eq(&other_before, &other_after));
     assert_eq!(harness.cache_stats().artifact_misses, 3);
 }
+
+/// Everything the table memo could change about a replan, bit-for-bit:
+/// latency bits, the buffer set and which buffers are chosen in which
+/// mode, the accepted splits, and the resource report.
+fn plan_bits(r: &LcmmResult) -> String {
+    format!(
+        "{:016x}|{}|{}|{:?}|{}|{}",
+        r.latency.to_bits(),
+        r.split_iterations,
+        serde_json::to_string(&r.chosen).expect("chosen serialises"),
+        r.weight_modes,
+        serde_json::to_string(&r.buffers).expect("buffers serialise"),
+        serde_json::to_string(&r.resources).expect("resources serialise"),
+    )
+}
+
+/// A fresh scratch plan of `graph` at `budget`.
+fn scratch_bits(graph: &Graph, options: LcmmOptions, budget: u64) -> String {
+    let result = PlanRequest::new(graph, &Device::vu9p(), Precision::Fix16)
+        .options(options.with_tensor_budget(Some(budget)))
+        .with_design(base(graph))
+        .run()
+        .unwrap();
+    plan_bits(&result)
+}
+
+/// `items` in a seeded random order (Fisher–Yates over a xorshift).
+fn shuffled<T: Clone>(items: &[T], mut seed: u64) -> Vec<T> {
+    let mut out = items.to_vec();
+    seed |= 1;
+    for i in (1..out.len()).rev() {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        out.swap(i, (seed % (i as u64 + 1)) as usize);
+    }
+    out
+}
+
+/// Replans `budgets` in order through `artifacts`, checking each against
+/// its scratch plan in `expected`; returns the summed table hits and
+/// accepted splits.
+fn replan_all(
+    graph: &Graph,
+    artifacts: &PlanArtifacts,
+    budgets: &[u64],
+    expected: &std::collections::HashMap<u64, String>,
+) -> (u64, usize) {
+    let (mut hits, mut splits) = (0, 0);
+    for &budget in budgets {
+        let r = artifacts
+            .replan_with_budget(graph, Some(budget), None)
+            .unwrap();
+        assert_eq!(
+            plan_bits(&r),
+            expected[&budget],
+            "budget {budget} diverged on {} ({} nodes)",
+            graph.name(),
+            graph.len()
+        );
+        hits += r.stats.dnnk_table_hits;
+        splits += r.split_iterations;
+    }
+    (hits, splits)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Replans of one artifact set share its stored DNNK choice tables,
+    /// so the budgets that came before must not matter: a random budget
+    /// sequence — with budget 0 and a budget past the design's — pushed
+    /// through one `PlanArtifacts` in random order, and again in another
+    /// order by two threads at once, equals a fresh `PlanRequest` at
+    /// every step, on random plain and shortcut-heavy graphs with
+    /// streaming and fusion each off or auto.
+    #[test]
+    fn replans_are_independent_of_budget_order(
+        depth in 6usize..20,
+        branching in 1usize..4,
+        seed in any::<u64>(),
+        shortcut in any::<bool>(),
+        streaming in any::<bool>(),
+        fusion in any::<bool>(),
+        sixty_fourths in prop::collection::vec(1u64..80, 4..9),
+        order in any::<u64>(),
+    ) {
+        let g = if shortcut {
+            zoo::synthetic_shortcut(depth, branching, seed, 100)
+        } else {
+            zoo::synthetic(depth, branching, seed)
+        };
+        let options = LcmmOptions::default()
+            .with_weight_streaming(if streaming {
+                lcmm_core::StreamingMode::Auto
+            } else {
+                lcmm_core::StreamingMode::Off
+            })
+            .with_fusion(if fusion {
+                lcmm_core::FusionMode::Auto
+            } else {
+                lcmm_core::FusionMode::Off
+            });
+        let full = PlanArtifacts::build(&g, base(&g), options, None)
+            .unwrap()
+            .design()
+            .tensor_sram_budget();
+        let mut budgets: Vec<u64> = sixty_fourths.iter().map(|k| full * k / 64).collect();
+        budgets.extend([0, full + full / 2]);
+        let budgets = shuffled(&budgets, order);
+        let expected: std::collections::HashMap<u64, String> = budgets
+            .iter()
+            .map(|&b| (b, scratch_bits(&g, options, b)))
+            .collect();
+
+        let artifacts = PlanArtifacts::build(&g, base(&g), options, None).unwrap();
+        replan_all(&g, &artifacts, &budgets, &expected);
+
+        let shared = PlanArtifacts::build(&g, base(&g), options, None).unwrap();
+        let reversed: Vec<u64> = budgets.iter().rev().copied().collect();
+        std::thread::scope(|scope| {
+            scope.spawn(|| replan_all(&g, &shared, &budgets, &expected));
+            scope.spawn(|| replan_all(&g, &shared, &reversed, &expected));
+        });
+    }
+}
+
+/// The table memo on zoo nets where the split loop accepts splits: 24
+/// budgets ascending, descending and in two random orders, streaming
+/// off and auto. Every replan equals its scratch plan and splits are
+/// accepted along the way, so tables keyed by false edges are stored
+/// too. Ascending budgets never backtrack — each is wider than every
+/// stored table — while every other order does.
+#[test]
+fn table_memo_replans_match_scratch_with_accepted_splits() {
+    for (net, streaming) in [
+        ("squeezenet", lcmm_core::StreamingMode::Off),
+        ("mobilenet", lcmm_core::StreamingMode::Auto),
+    ] {
+        let g = zoo::by_name(net).unwrap();
+        let options = LcmmOptions::default().with_weight_streaming(streaming);
+        let full = PlanArtifacts::build(&g, base(&g), options, None)
+            .unwrap()
+            .design()
+            .tensor_sram_budget();
+        let budgets: Vec<u64> = (1..=24).map(|k| full * k / 24).collect();
+        let expected: std::collections::HashMap<u64, String> = budgets
+            .iter()
+            .map(|&b| (b, scratch_bits(&g, options, b)))
+            .collect();
+        let descending: Vec<u64> = budgets.iter().rev().copied().collect();
+        for (i, order) in [
+            budgets.clone(),
+            descending,
+            shuffled(&budgets, 7),
+            shuffled(&budgets, 8),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let artifacts = PlanArtifacts::build(&g, base(&g), options, None).unwrap();
+            let (hits, splits) = replan_all(&g, &artifacts, order, &expected);
+            if i == 0 {
+                assert_eq!(hits, 0, "{net}: an ascending budget backtracked");
+            } else {
+                assert!(hits > 0, "{net} order {i}: no allocation backtracked");
+            }
+            assert!(splits > 0, "{net} order {i}: no split accepted");
+            let (tables, _) = artifacts.table_footprint();
+            assert!(
+                tables > 1,
+                "{net} order {i}: only the initial coloring stored"
+            );
+        }
+    }
+}

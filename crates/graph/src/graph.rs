@@ -5,8 +5,10 @@ use crate::tensor::FeatureShape;
 use crate::GraphError;
 use serde::content::{as_map, decode_field};
 use serde::{Content, Deserialize, Serialize};
+use std::collections::hash_map::RandomState;
 use std::collections::VecDeque;
 use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
 /// Identifier of a node within one [`Graph`].
@@ -105,7 +107,73 @@ pub struct Graph {
     /// Memo of [`Graph::fingerprint`], shared by every clone. Not part
     /// of the graph's value: never serialized or printed. `Graph` has no
     /// mutating method, so the memo cannot go stale.
-    fingerprint: Arc<OnceLock<Box<str>>>,
+    fingerprint: Arc<OnceLock<Fingerprint>>,
+}
+
+/// A graph's canonical fingerprint as a cache-key part: the compact
+/// JSON text behind one shared `Arc`, plus a 64-bit hash of it computed
+/// once. Cloning copies a pointer, hashing writes the stored hash, and
+/// equality and ordering compare the full text (a shared `Arc` short-
+/// cuts equality), so a key built from it is exactly as precise as one
+/// holding a private copy of the JSON.
+#[derive(Clone)]
+pub struct Fingerprint {
+    text: Arc<str>,
+    hash: u64,
+}
+
+impl Fingerprint {
+    fn new(text: String) -> Self {
+        // Keyed once per process, as `HashMap`'s default hasher is:
+        // graph JSON can come from outside the program (inline graphs on
+        // the serve wire), so colliding stored hashes must not be
+        // craftable.
+        static KEYS: OnceLock<RandomState> = OnceLock::new();
+        Self {
+            hash: KEYS.get_or_init(RandomState::new).hash_one(text.as_str()),
+            text: text.into(),
+        }
+    }
+
+    /// The canonical JSON text.
+    #[must_use]
+    pub fn as_str(&self) -> &str {
+        &self.text
+    }
+}
+
+impl PartialEq for Fingerprint {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.text, &other.text) || (self.hash == other.hash && self.text == other.text)
+    }
+}
+
+impl Eq for Fingerprint {}
+
+impl Hash for Fingerprint {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+impl PartialOrd for Fingerprint {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Fingerprint {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.text.cmp(&other.text)
+    }
+}
+
+impl fmt::Debug for Fingerprint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Fingerprint")
+            .field("len", &self.text.len())
+            .finish_non_exhaustive()
+    }
 }
 
 impl Graph {
@@ -162,10 +230,15 @@ impl Graph {
     /// copy, not a serialisation.
     #[must_use]
     pub fn fingerprint(&self) -> &str {
+        self.fingerprint_key().as_str()
+    }
+
+    /// [`Graph::fingerprint`] with its memoized hash, for cache keys
+    /// that should share the text instead of copying it.
+    #[must_use]
+    pub fn fingerprint_key(&self) -> &Fingerprint {
         self.fingerprint.get_or_init(|| {
-            serde_json::to_string(self)
-                .expect("graphs serialise")
-                .into_boxed_str()
+            Fingerprint::new(serde_json::to_string(self).expect("graphs serialise"))
         })
     }
 
@@ -546,6 +619,33 @@ mod tests {
         // A separately built equal graph has its own memo.
         assert!(!std::ptr::eq(fp, diamond().fingerprint()));
         assert_eq!(fp, diamond().fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_keys_compare_by_text_and_hash_once() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |k: &Fingerprint| {
+            let mut h = DefaultHasher::new();
+            k.hash(&mut h);
+            h.finish()
+        };
+        let g = diamond();
+        let twin = diamond();
+        assert_eq!(g.fingerprint_key(), twin.fingerprint_key());
+        assert_eq!(hash(g.fingerprint_key()), hash(twin.fingerprint_key()));
+        assert_eq!(
+            g.fingerprint_key().cmp(twin.fingerprint_key()),
+            std::cmp::Ordering::Equal
+        );
+        let other = crate::zoo::alexnet();
+        assert_ne!(g.fingerprint_key(), other.fingerprint_key());
+        assert_eq!(
+            g.fingerprint_key().cmp(other.fingerprint_key()),
+            g.fingerprint().cmp(other.fingerprint())
+        );
+        // A cloned key shares the text.
+        let key = g.fingerprint_key().clone();
+        assert!(std::ptr::eq(key.as_str(), g.fingerprint()));
     }
 
     #[test]

@@ -46,6 +46,6 @@ pub mod zoo;
 
 pub use builder::GraphBuilder;
 pub use error::GraphError;
-pub use graph::{Graph, Node, NodeId};
+pub use graph::{Fingerprint, Graph, Node, NodeId};
 pub use op::{ConvParams, FcParams, OpKind, PoolKind, PoolParams};
 pub use tensor::FeatureShape;

@@ -1144,33 +1144,38 @@ const COPLAN_KEY_PREFIX: &str = "coplan:";
 /// a non-concern while keeping keys small even for inline
 /// thousand-node graphs.
 fn digest(fingerprint: &str) -> String {
-    let fnv = |offset: u64| -> u64 {
-        let mut hash = offset;
-        for byte in fingerprint.as_bytes() {
-            hash ^= u64::from(*byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
-    };
-    format!(
-        "{:016x}{:016x}:{}",
-        fnv(0xcbf2_9ce4_8422_2325),
-        fnv(0x6c62_272e_07bb_0142),
-        fingerprint.len()
-    )
+    digest_parts(&[fingerprint])
+}
+
+/// [`digest`] of the concatenation of `parts`, without building it: the
+/// graph part of a plan key is up to tens of KB of JSON, and every plan
+/// request computes its key. Both FNV passes run in one sweep.
+fn digest_parts(parts: &[&str]) -> String {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let (mut a, mut b) = (0xcbf2_9ce4_8422_2325_u64, 0x6c62_272e_07bb_0142_u64);
+    for byte in parts.iter().flat_map(|part| part.bytes()) {
+        a = (a ^ u64::from(byte)).wrapping_mul(PRIME);
+        b = (b ^ u64::from(byte)).wrapping_mul(PRIME);
+    }
+    let len: usize = parts.iter().map(|part| part.len()).sum();
+    format!("{a:016x}{b:016x}:{len}")
 }
 
 /// Cache key of a single-model plan: digest of the canonical JSON
 /// fingerprint of the resolved request.
 fn cache_key(resolved: &ResolvedPlan) -> String {
-    let fingerprint = format!(
-        "{}\u{1}{}\u{1}{}\u{1}{}",
+    let device = serde_json::to_string(&resolved.device).unwrap_or_default();
+    let precision = serde_json::to_string(&resolved.precision).unwrap_or_default();
+    let options = serde_json::to_string(&resolved.options).unwrap_or_default();
+    digest_parts(&[
         resolved.graph.fingerprint(),
-        serde_json::to_string(&resolved.device).unwrap_or_default(),
-        serde_json::to_string(&resolved.precision).unwrap_or_default(),
-        serde_json::to_string(&resolved.options).unwrap_or_default(),
-    );
-    digest(&fingerprint)
+        "\u{1}",
+        &device,
+        "\u{1}",
+        &precision,
+        "\u{1}",
+        &options,
+    ])
 }
 
 /// Cache key of a co-plan: covers the *full tenant set* — every
@@ -1269,16 +1274,31 @@ fn process_plan(inner: &Arc<Inner>, job: &Job) -> String {
             Err(err) => return answer_err(&err),
         };
     let umm = inner.harness.baseline_from_design(&resolved.graph, &design);
-    let result = match inner.harness.try_plan_with_design(
-        &resolved.graph,
-        &design,
-        resolved.options,
-        Some(&job.cancel),
-    ) {
-        Ok(result) => result,
+    // Every budget of a (graph, design, options) point shares one
+    // artifact set, whose stored DNNK tables answer narrower budgets by
+    // backtracking. The result is not memoized in the harness: the plan
+    // LRU is the result cache here.
+    let planned = inner
+        .harness
+        .try_artifacts(
+            &resolved.graph,
+            &design,
+            resolved.options,
+            Some(&job.cancel),
+        )
+        .and_then(|artifacts| {
+            let result = artifacts.replan_with_budget(
+                &resolved.graph,
+                resolved.options.tensor_budget,
+                Some(&job.cancel),
+            )?;
+            Ok((result, artifacts.take_front_end_seconds()))
+        });
+    let (result, front_end) = match planned {
+        Ok(planned) => planned,
         Err(err) => return answer_err(&err),
     };
-    record_pass_stats(inner, &result.stats);
+    record_pass_stats(inner, &result.stats, front_end);
     let plan = plan_summary(&resolved, &result, &umm);
     let stored = serde_json::to_string(&plan).expect("plan summary serialises");
     let record = WalRecord::PlanPut {
@@ -1573,11 +1593,16 @@ fn process_workload(inner: &Arc<Inner>, job: &Job) -> String {
     .to_line_v(request.v)
 }
 
-/// Folds one computed run's pass timings into the `/stats` histograms.
-fn record_pass_stats(inner: &Inner, stats: &PassStats) {
+/// Folds one computed plan's pass timings into the `/stats` histograms.
+/// A plan replays passes 3–4 on a shared artifact set, so liveness and
+/// prefetch are recorded from `front_end`, the build's `(liveness,
+/// prefetch)` seconds, which only the first plan of a build receives.
+fn record_pass_stats(inner: &Inner, stats: &PassStats, front_end: Option<(f64, f64)>) {
     let mut h = lock_safe(&inner.histograms);
-    h.liveness.record(stats.liveness_seconds);
-    h.prefetch.record(stats.prefetch_seconds);
+    if let Some((liveness, prefetch)) = front_end {
+        h.liveness.record(liveness);
+        h.prefetch.record(prefetch);
+    }
     h.alloc_split.record(stats.alloc_split_seconds);
     h.total.record(stats.total_seconds);
 }

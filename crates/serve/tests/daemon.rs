@@ -355,18 +355,64 @@ fn bad_requests_keep_the_daemon_alive() {
 /// Computed plans are not memoized in the harness: the plan LRU is the
 /// daemon's only result cache, so budget-only variants of one request
 /// leave `stats.harness.result_misses` at 0 instead of growing it by
-/// one retained result each.
+/// one retained result each. They do share one artifact set: N plan
+/// misses of one net at distinct budgets build it once and hit it N−1
+/// times, and a budget narrower than one already planned backtracks
+/// from a stored DNNK table.
 #[test]
 fn computed_plans_are_not_memoized_in_the_harness() {
     let server = Server::start(ServerConfig::default().with_workers(1));
-    for budget in [1u64 << 20, 2 << 20, 3 << 20] {
+    let plan = |budget: u64| {
         let v = parse(&server.handle_line(&format!(
-            r#"{{"graph":"alexnet","options":{{"tensor_budget":{budget}}}}}"#
+            r#"{{"graph":"alexnet","options":{{"tensor_budget":{budget}}},"include_stats":true}}"#
         )));
         assert_eq!(v.get("cached").and_then(Value::as_bool), Some(false));
+        v.get("pass_stats")
+            .and_then(|s| s.get("dnnk_table_hits"))
+            .and_then(Value::as_u64)
+            .expect("pass_stats.dnnk_table_hits")
+    };
+    let budgets = [3u64 << 20, 1 << 20, 2 << 20];
+    assert_eq!(plan(budgets[0]), 0, "the first plan runs its DPs");
+    for &budget in &budgets[1..] {
+        assert!(plan(budget) > 0, "{budget} B is within a stored table");
     }
+    let n = budgets.len() as u64;
+    assert_eq!(stat_u64(&server, "harness", "artifact_misses"), 1);
+    assert_eq!(stat_u64(&server, "harness", "artifact_hits"), n - 1);
     assert_eq!(stat_u64(&server, "harness", "result_misses"), 0);
     assert_eq!(stat_u64(&server, "harness", "result_hits"), 0);
+
+    // Re-registering a model with changed graph content drops the old
+    // graph's artifacts, stored tables included: the next narrower plan
+    // builds a fresh artifact set and runs its DPs again.
+    for graph in ["alexnet", "squeezenet"] {
+        let v = parse(&server.handle_line(&format!(
+            r#"{{"op":"register","model":"m","graph":"{graph}","share":0.5}}"#
+        )));
+        assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
+    }
+    assert_eq!(
+        plan(1 << 19),
+        0,
+        "the stored tables went with the artifacts"
+    );
+    assert_eq!(stat_u64(&server, "harness", "artifact_misses"), 2);
+
+    // The pass histograms sample passes 3-4 once per plan, and passes
+    // 1-2 once per artifact set built, not once per plan.
+    let stats = parse(&server.handle_line(r#"{"op":"stats"}"#));
+    let count = |pass: &str| {
+        stats
+            .get("stats")
+            .and_then(|s| s.get("histograms"))
+            .and_then(|h| h.get(pass))
+            .and_then(|h| h.get("count"))
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("missing stats.histograms.{pass}.count"))
+    };
+    assert_eq!((count("alloc_split"), count("total")), (n + 1, n + 1));
+    assert_eq!((count("liveness"), count("prefetch")), (2, 2));
     server.shutdown();
 }
 
