@@ -21,21 +21,22 @@
 //!   a regression back to pre-delta per-grid-point costs fails CI.
 //! - **Ratio** (machine-independent): on the 3-tenant
 //!   `mobilenet,alexnet,squeezenet` search at 12 grid steps, the
-//!   scratch/delta wall-clock ratio must stay above `min_speedup`.
-//!   With 3 tenants the same device slice sizes recur across the 55
-//!   grid points, so cached pass 1–2 artifacts and memoised gain
-//!   curves are re-hit across points — the mechanism this PR adds. If
-//!   delta replanning silently degraded into re-running passes 1–2 and
-//!   the DNNK curve per grid point, the ratio falls to ~1 and CI
-//!   fails. (With 2 tenants every grid point partitions the device
-//!   uniquely, so there is nothing to re-hit and the two modes are at
-//!   parity by construction — which is why the ratio gate runs the
-//!   3-tenant workload.)
+//!   wall-clock ratio of [`scratch_search`] to the co-planner must stay
+//!   above `min_speedup`. With 3 tenants the same device slice sizes
+//!   recur across the 55 grid points, so cached pass 1–2 artifacts and
+//!   memoised gain curves are re-hit across points. If delta
+//!   replanning silently degraded into re-running passes 1–2 and the
+//!   DNNK curve per grid point, the ratio falls to ~1 and CI fails.
+//!   (With 2 tenants every grid point partitions the device uniquely,
+//!   so there is nothing to re-hit and the two searches are at parity
+//!   by construction — which is why the ratio gate runs the 3-tenant
+//!   workload.)
 
 use criterion::{black_box, Criterion};
-use lcmm_core::{Harness, LcmmOptions, PlanArtifacts, PlanRequest};
+use lcmm_core::coplan::{GainCurve, CAPACITY_UNIT_BYTES};
+use lcmm_core::{tenant_gain_curve, Harness, LcmmOptions, Pipeline, PlanArtifacts, PlanRequest};
 use lcmm_fpga::{AccelDesign, Device, Precision};
-use lcmm_multi::{coplan, CoplanOptions, TenantSpec};
+use lcmm_multi::{coplan, joint_capacity_dp, pool_bytes, share_grid, CoplanOptions, TenantSpec};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::time::Instant;
@@ -92,18 +93,71 @@ fn three_tenants() -> Vec<TenantSpec> {
     ]
 }
 
-/// One timed share-grid search on a fresh single-job harness.
+/// One timed share-grid search on a fresh single-job harness: the
+/// co-planner (`delta`) or [`scratch_search`].
 fn search_seconds(tenants: &[TenantSpec], steps: usize, delta: bool) -> f64 {
     let device = Device::vu9p();
     let harness = Harness::new(1);
-    let opts = CoplanOptions::default()
-        .with_search_steps(steps)
-        .with_delta_replan(delta);
     let t = Instant::now();
-    let plan = coplan(&harness, &device, tenants, &opts).expect("search finds a split");
-    let elapsed = t.elapsed().as_secs_f64();
-    black_box(plan);
-    elapsed
+    if delta {
+        let opts = CoplanOptions::default().with_search_steps(steps);
+        black_box(coplan(&harness, &device, tenants, &opts).expect("search finds a split"));
+    } else {
+        scratch_search(&harness, &device, tenants, steps);
+    }
+    t.elapsed().as_secs_f64()
+}
+
+/// The share-grid search planned from scratch at every grid point, on
+/// one shared harness: per point, a one-shot gain curve per tenant, the
+/// joint capacity DP, and a one-shot plan per tenant at its grant
+/// (memoized by the harness result cache). It leaves out the contention
+/// scoring both searches share, so the ratio gate can only get
+/// stricter.
+fn scratch_search(harness: &Harness, device: &Device, tenants: &[TenantSpec], steps: usize) {
+    let options = LcmmOptions::default();
+    for shares in share_grid(tenants.len(), steps) {
+        let Ok(parts) = device.partition_set(&shares) else {
+            continue;
+        };
+        let bases: Result<Vec<_>, _> = tenants
+            .iter()
+            .zip(&parts)
+            .map(|(t, part)| harness.try_design(&t.graph, part, t.precision))
+            .collect();
+        let Ok(bases) = bases else {
+            continue;
+        };
+        let derated: Vec<AccelDesign> = bases
+            .iter()
+            .map(|base| Pipeline::new(options).lcmm_design((**base).clone()))
+            .collect();
+        let pool = pool_bytes(&derated.iter().collect::<Vec<_>>());
+        let curves: Vec<(f64, GainCurve)> = tenants
+            .iter()
+            .zip(&derated)
+            .map(|(t, d)| {
+                let profile = harness.profile(&t.graph, d);
+                let curve = tenant_gain_curve(&t.graph, &profile, d, &options, pool);
+                (t.weight, curve)
+            })
+            .collect();
+        let units = (pool / CAPACITY_UNIT_BYTES) as usize;
+        let mut grants = joint_capacity_dp(&curves, units);
+        grants[0] += units - grants.iter().sum::<usize>();
+        for (k, ((t, base), &grant)) in tenants.iter().zip(&bases).zip(&grants).enumerate() {
+            let mut budget = grant as u64 * CAPACITY_UNIT_BYTES;
+            if k == 0 {
+                budget += pool % CAPACITY_UNIT_BYTES;
+            }
+            let options = options.with_tensor_budget(Some(budget));
+            black_box(
+                harness
+                    .try_lcmm_with_design(&t.graph, base, options, None)
+                    .expect("a granted tenant plans"),
+            );
+        }
+    }
 }
 
 /// Minimum wall clock of each mode over [`GATE_RUNS`] repetitions,
@@ -183,8 +237,9 @@ fn check_budgets() {
     println!("delta replan ok.");
 }
 
-/// Criterion benches: both searches in both modes, and the raw
-/// single-model budget replay against a from-scratch plan.
+/// Criterion benches: both searches, each as the co-planner and from
+/// scratch, and the raw single-model budget replay against a
+/// from-scratch plan.
 fn bench(c: &mut Criterion) {
     let device = Device::vu9p();
 

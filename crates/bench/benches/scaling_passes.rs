@@ -229,12 +229,6 @@ fn bench(c: &mut Criterion) {
     c.bench_function("scaling/color_reference_1024", |b| {
         b.iter(|| black_box(ig.color_reference()))
     });
-    c.bench_function("scaling/chaitin_indexed_1024", |b| {
-        b.iter(|| black_box(ig.color_chaitin()))
-    });
-    c.bench_function("scaling/chaitin_reference_1024", |b| {
-        b.iter(|| black_box(ig.color_chaitin_reference()))
-    });
     c.bench_function("scaling/minimizing_liveness_heap_1024", |b| {
         b.iter(|| black_box(Schedule::minimizing_liveness(&graph)))
     });

@@ -12,11 +12,7 @@ use lcmm_multi::{coplan, coplan_summary, CoplanOptions, TenantSpec};
 
 /// Runs `lcmm multi --models <a,b,...> [--shares <s,s,...>]
 /// [--device <name>] [--precision <8|16|32>] [--steps <N>]
-/// [--jobs <N>] [--no-delta] [--json]`.
-///
-/// `--no-delta` disables the (bit-identical) delta-replan artifact
-/// reuse and plans every grid point from scratch — the CI
-/// delta-equivalence gate diffs the two paths' outputs.
+/// [--jobs <N>] [--json]`.
 pub fn run(args: &[String]) -> Result<(), String> {
     let mut models: Vec<String> = Vec::new();
     let mut shares: Option<Vec<f64>> = None;
@@ -76,7 +72,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
                 }
                 jobs = Some(n);
             }
-            "--no-delta" => opts = opts.with_delta_replan(false),
             "--json" => json = true,
             other => return Err(format!("unknown multi flag {other:?}")),
         }

@@ -286,15 +286,11 @@ impl TableMemo {
 /// second-level capacity DP: because tenants' buffers never touch the
 /// same ops, the joint knapsack over the union of all buffers decomposes
 /// exactly into per-tenant curves plus a split of the shared capacity.
-#[must_use]
-pub fn gain_curve(problem: &AllocProblem<'_>) -> Vec<f64> {
-    gain_curve_storing(problem, None)
-}
-
-/// [`gain_curve`] of an initial coloring that offers the DP's choice
-/// table to `memo` as that coloring's table, so a later allocation at a
-/// budget within the curve's width is a backtrack.
-pub(crate) fn gain_curve_storing(problem: &AllocProblem<'_>, memo: Option<&TableMemo>) -> Vec<f64> {
+///
+/// `problem` holds an initial coloring; the DP's choice table is offered
+/// to `memo` as that coloring's table, so a later allocation at a budget
+/// within the curve's width is a backtrack.
+pub(crate) fn gain_curve(problem: &AllocProblem<'_>, memo: Option<&TableMemo>) -> Vec<f64> {
     let n = problem.buffers.len();
     let units = budget_units(problem);
     if n == 0 || units == 0 {
@@ -816,7 +812,7 @@ mod tests {
         let bufs = singleton_buffers(&g, &ev);
         let budget = 16 << 20;
         let problem = AllocProblem::new(&ev, &bufs, budget, &PrefetchPlan::default());
-        let curve = gain_curve(&problem);
+        let curve = gain_curve(&problem, None);
         let units = (budget / CAPACITY_UNIT_BYTES) as usize;
         assert_eq!(curve.len(), units + 1);
         assert_eq!(curve[0], 0.0);
@@ -839,7 +835,7 @@ mod tests {
         let bufs = singleton_buffers(&g, &ev);
         let budget = 16 << 20;
         let problem = AllocProblem::new(&ev, &bufs, budget, &PrefetchPlan::default());
-        let curve = gain_curve(&problem);
+        let curve = gain_curve(&problem, None);
         let out = allocate(&problem);
         let empty = problem.latency_of(&vec![false; bufs.len()]);
         let exact_gain = empty - out.latency;

@@ -11,16 +11,14 @@
 //!
 //! The curve is computed from passes 1–2 (feature lifespans + prefetch
 //! spans) and the *initial* buffer coloring — splitting refinement is
-//! deliberately left to the per-tenant finalisation runs, which re-run
-//! the full pipeline with [`crate::LcmmOptions::tensor_budget`] set to
-//! the chosen share.
+//! deliberately left to the per-tenant finalisation runs, which replan
+//! with [`crate::LcmmOptions::tensor_budget`] set to the chosen share.
 
-use crate::alloc::{dnnk, AllocProblem};
-use crate::eval::Evaluator;
-use crate::pipeline::{build_front_end, LcmmOptions};
-use crate::splitting::color_all;
+use crate::delta::PlanArtifacts;
+use crate::pipeline::LcmmOptions;
 use lcmm_fpga::{AccelDesign, GraphProfile};
 use lcmm_graph::Graph;
+use std::sync::Arc;
 
 /// SRAM capacity quantum shared with the DNNK DP (one URAM block).
 pub use crate::alloc::CAPACITY_UNIT_BYTES;
@@ -62,14 +60,16 @@ impl GainCurve {
 }
 
 /// Builds the DNNK value curve for one tenant against a capacity pool
-/// of `pool_bytes`.
+/// of `pool_bytes`: [`PlanArtifacts::gain_curve`] on a throwaway
+/// artifact set.
 ///
 /// `design` must be the tenant's *derated* LCMM design (the one the
-/// finalisation run will use) and `profile` its latency table for
-/// `graph`; `options` controls which of passes 1–2 contribute buffers,
-/// exactly as in the full pipeline. The curve always uses the DNNK DP
-/// regardless of `options.allocator` — it is a split-search estimate,
-/// and the finalisation runs apply the configured allocator.
+/// finalisation run will use) and `profile` its unfused latency table
+/// for `graph`; `options` controls which of passes 1–2 contribute
+/// buffers and whether fusion runs, exactly as in the full pipeline. The
+/// curve always uses the DNNK DP regardless of `options.allocator` — it
+/// is a split-search estimate, and the finalisation runs apply the
+/// configured allocator.
 #[must_use]
 pub fn tenant_gain_curve(
     graph: &Graph,
@@ -78,31 +78,18 @@ pub fn tenant_gain_curve(
     options: &LcmmOptions,
     pool_bytes: u64,
 ) -> GainCurve {
-    // `profile` must be the tenant's unfused latency table: fusion is
-    // derived here (exactly as the pipeline and `PlanArtifacts` do), so
-    // fused tenants contribute fusion-aware gain curves to the joint
-    // capacity DP without the caller doing anything.
-    let prepared = crate::fusion::prepare(graph, profile, design, options);
-    let (fusion, effective): (crate::fusion::FusionPlan, &GraphProfile) = match &prepared {
-        Some((plan, fused)) => (plan.clone(), fused),
-        None => (crate::fusion::FusionPlan::default(), profile),
-    };
-    let evaluator = Evaluator::new(graph, effective);
-    let front = build_front_end(graph, effective, &evaluator, design, options, &fusion, None)
-        .expect("the front end is infallible without a cancel token");
-    // The same DP as `PlanArtifacts::gain_curve`, on the same coloring,
-    // so the two routes are bit-identical by construction.
-    let buffers = color_all(&front.feature_graph, &front.weight_graph);
-    let problem = AllocProblem::with_streaming(
-        &evaluator,
-        &buffers,
-        pool_bytes,
-        &front.prefetch,
-        options.weight_streaming,
-    );
-    GainCurve {
-        values: dnnk::gain_curve(&problem),
-    }
+    let artifacts = PlanArtifacts::from_parts(
+        graph,
+        design.clone(),
+        Arc::new(profile.clone()),
+        *options,
+        None,
+    )
+    .expect("a build without a cancel token cannot fail");
+    let curve = artifacts
+        .gain_curve(graph, pool_bytes)
+        .expect("the artifacts were built for this graph");
+    GainCurve::clone(&curve)
 }
 
 #[cfg(test)]

@@ -13,25 +13,27 @@
 //! replays only the capacity DP + pivot compensation + splitting +
 //! reporting for any number of budgets.
 //!
-//! The replay is **bit-identical** to a from-scratch
-//! [`crate::PlanRequest`] at every budget because both routes execute
-//! the same code: [`crate::pipeline`]'s `build_front_end` produces the
-//! artifacts and `run_back_end` consumes them, whether called
-//! back-to-back (scratch) or across a cache boundary (delta). The
-//! property tests in `crates/core/tests/delta_props.rs` and the
-//! delta-equivalence gate in `checks/ci.sh` enforce this.
+//! There is one planning route. A from-scratch [`crate::PlanRequest`]
+//! builds a throwaway artifact set and replays its one budget, and a
+//! one-shot [`crate::tenant_gain_curve`] reads a throwaway set's curve;
+//! a delta replan replays a cached set. The replay is therefore
+//! **bit-identical** to a from-scratch plan at every budget. The
+//! property tests in `crates/core/tests/delta_props.rs` and
+//! `crates/multi/tests/coplan_props.rs` check that the DNNK table and
+//! gain-curve memos, the only state a cached set adds, never change a
+//! result.
 //!
 //! See `docs/DELTA.md` for the artifact keys, the invariance argument,
 //! and the invalidation rules the harness layers on top.
 
 use crate::alloc::dnnk::{self, TableMemo};
 use crate::alloc::AllocProblem;
-use crate::cancel::CancelToken;
+use crate::cancel::{check_opt, CancelToken};
 use crate::coplan::{GainCurve, CAPACITY_UNIT_BYTES};
 use crate::error::LcmmError;
 use crate::eval::Evaluator;
 use crate::pipeline::{
-    build_front_end, run_back_end, AllocatorKind, BackEnd, FrontEnd, LcmmOptions, Pipeline,
+    build_front_end, run_back_end, AllocatorKind, FrontEnd, LcmmOptions, Pipeline,
 };
 use crate::profiling;
 use crate::splitting::color_all;
@@ -58,17 +60,16 @@ pub struct PlanArtifacts {
     /// The fused latency table when `options.fusion` selected groups;
     /// `None` otherwise. Replans and gain curves run against this
     /// (falling back to `profile`), while [`Self::profile`] keeps
-    /// returning the unfused table — the form every external consumer
-    /// (e.g. [`crate::tenant_gain_curve`], which derives fusion itself)
-    /// expects.
+    /// returning the unfused table — the form [`Self::from_parts`]
+    /// takes, since fusion is derived there and nowhere else.
     fused_profile: Option<Arc<GraphProfile>>,
     options: LcmmOptions,
-    front: FrontEnd,
+    pub(crate) front: FrontEnd,
     graph_name: String,
     graph_nodes: usize,
     colored: std::sync::OnceLock<Vec<crate::interference::VirtualBuffer>>,
     curves: Mutex<HashMap<u64, Arc<GainCurve>>>,
-    tables: TableMemo,
+    pub(crate) tables: TableMemo,
     /// Whether [`Self::take_front_end_seconds`] has handed out the build's
     /// pass 1–2 timings.
     front_end_reported: AtomicBool,
@@ -92,8 +93,10 @@ impl PlanArtifacts {
         Self::from_parts(graph, design, profile, options, cancel)
     }
 
-    /// Builds artifacts from an already-derated design and its profile
-    /// (the harness uses this to share its profile cache).
+    /// Builds artifacts from an already-derated design and its unfused
+    /// profile (the harness uses this to share its profile cache). This
+    /// is the one place fusion and passes 1–2 run: fusion is not
+    /// idempotent (see [`crate::fusion`]), so it is derived once, here.
     pub fn from_parts(
         graph: &Graph,
         design: AccelDesign,
@@ -141,7 +144,7 @@ impl PlanArtifacts {
 
     /// The latency table replays actually evaluate: the fused table
     /// when fusion selected groups, the base profile otherwise.
-    fn effective_profile(&self) -> &Arc<GraphProfile> {
+    pub(crate) fn effective_profile(&self) -> &Arc<GraphProfile> {
         self.fused_profile.as_ref().unwrap_or(&self.profile)
     }
 
@@ -177,7 +180,7 @@ impl PlanArtifacts {
 
     /// The initial coloring of the cached interference graphs, computed
     /// once per artifact set.
-    fn initial_buffers(&self) -> &[crate::interference::VirtualBuffer] {
+    pub(crate) fn initial_buffers(&self) -> &[crate::interference::VirtualBuffer] {
         self.colored
             .get_or_init(|| color_all(&self.front.feature_graph, &self.front.weight_graph))
     }
@@ -187,14 +190,13 @@ impl PlanArtifacts {
     ///
     /// Bit-identical to running [`crate::PlanRequest`] from scratch
     /// with the same design and `options.with_tensor_budget(budget)`:
-    /// the scratch route computes the same front end this struct
-    /// cached, then calls the same back end this method calls. Under
-    /// `allocator: dnnk`, each allocation whose buffer set has a stored
-    /// choice table at least as wide as the budget is a backtrack from
-    /// it; any other allocation runs the DP the scratch route runs and
-    /// offers its table to the memo (see `docs/DELTA.md`). The result's
-    /// stats report 0 s for liveness and prefetch, which this replan
-    /// did not run.
+    /// that request replays its budget on a throwaway artifact set built
+    /// exactly like this one. Under `allocator: dnnk`, each allocation
+    /// whose buffer set has a stored choice table at least as wide as
+    /// the budget is a backtrack from it; any other allocation runs the
+    /// DP a fresh set runs and offers its table to the memo (see
+    /// `docs/DELTA.md`). The result's stats report 0 s for liveness and
+    /// prefetch, which this replan did not run.
     pub fn replan_with_budget(
         &self,
         graph: &Graph,
@@ -203,22 +205,30 @@ impl PlanArtifacts {
     ) -> Result<LcmmResult, LcmmError> {
         self.check_graph(graph)?;
         profiling::reset_counters();
+        run_back_end(self, graph, budget, Instant::now(), cancel)
+    }
+
+    /// A one-shot plan at `options.tensor_budget`: builds a throwaway
+    /// artifact set and replays its budget once — the engine behind
+    /// [`crate::PlanRequest`] and [`crate::Harness::try_lcmm_with_design`].
+    /// The counters are reset before the build, so the result counts
+    /// and times passes 1–2 too. `cancel` is polled before the build and
+    /// at every pass boundary.
+    pub(crate) fn plan_once(
+        graph: &Graph,
+        design: AccelDesign,
+        profile: Arc<GraphProfile>,
+        options: LcmmOptions,
+        cancel: Option<&CancelToken>,
+    ) -> Result<LcmmResult, LcmmError> {
+        check_opt(cancel)?;
+        profiling::reset_counters();
         let t_total = Instant::now();
-        let options = self.options.with_tensor_budget(budget);
-        let profile = self.effective_profile();
-        let evaluator = Evaluator::new(graph, profile);
-        run_back_end(BackEnd {
-            graph,
-            design: self.design.clone(),
-            profile,
-            evaluator: &evaluator,
-            options: &options,
-            front: &self.front,
-            initial_buffers: Some(self.initial_buffers()),
-            tables: Some(&self.tables),
-            t_total,
-            cancel,
-        })
+        let artifacts = Self::from_parts(graph, design, profile, options, cancel)?;
+        let mut result = run_back_end(&artifacts, graph, options.tensor_budget, t_total, cancel)?;
+        result.stats.liveness_seconds = artifacts.front.liveness_seconds;
+        result.stats.prefetch_seconds = artifacts.front.prefetch_seconds;
+        Ok(result)
     }
 
     /// Wall clock `(liveness, prefetch)` of the passes 1–2 this artifact
@@ -239,9 +249,9 @@ impl PlanArtifacts {
     /// The tenant's DNNK gain curve against a capacity pool of
     /// `pool_bytes`, memoised per pool size.
     ///
-    /// Bit-identical to [`crate::tenant_gain_curve`] on the same
-    /// inputs — both routes colour the cached interference graphs and
-    /// run the same DNNK DP. That DP is also the initial coloring's
+    /// [`crate::tenant_gain_curve`] is this method on a throwaway set.
+    /// A narrower pool slices a wider memoized curve, bitwise what a
+    /// fresh DP at that pool returns. The DP is also the initial coloring's
     /// allocation DP at the pool's width, so its choice table joins the
     /// table memo: a replan at a budget within the pool then starts
     /// with a backtrack.
@@ -269,7 +279,7 @@ impl PlanArtifacts {
             );
             // Only `allocator: dnnk` replans read the memo.
             let memo = (self.options.allocator == AllocatorKind::Dnnk).then_some(&self.tables);
-            GainCurve::from_values(dnnk::gain_curve_storing(&problem, memo))
+            GainCurve::from_values(dnnk::gain_curve(&problem, memo))
         };
         let curve = Arc::new(curve);
         curves.insert(pool_bytes, Arc::clone(&curve));
@@ -425,6 +435,32 @@ mod tests {
         // The build's pass 1-2 timings are handed out once.
         assert!(artifacts.take_front_end_seconds().is_some());
         assert_eq!(artifacts.take_front_end_seconds(), None);
+    }
+
+    #[test]
+    fn coloring_is_timed_inside_alloc_split() {
+        // `coloring_seconds` is a subset of `alloc_split_seconds` on
+        // every route, a set's first replan included: that replan
+        // colors the set's front end, and must do so inside the pass.
+        // At budget 0 the allocations are cheap, so coloring outside
+        // the timer would outweigh the whole pass.
+        let g = zoo::inception_v4();
+        let request = PlanRequest::new(&g, &Device::vu9p(), Precision::Fix16)
+            .with_design(base(&g))
+            .tensor_budget(Some(0))
+            .run()
+            .unwrap();
+        let artifacts = PlanArtifacts::build(&g, base(&g), LcmmOptions::default(), None).unwrap();
+        let replan = artifacts.replan_with_budget(&g, Some(0), None).unwrap();
+        for (route, stats) in [("request", request.stats), ("first replan", replan.stats)] {
+            assert!(stats.coloring_seconds > 0.0, "{route} colored nothing");
+            assert!(
+                stats.coloring_seconds <= stats.alloc_split_seconds,
+                "{route}: coloring {} s is not inside alloc/split {} s",
+                stats.coloring_seconds,
+                stats.alloc_split_seconds
+            );
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! the pipeline.
 //!
 //! Fusion runs ahead of liveness as a *profile transform*: when
-//! [`crate::LcmmOptions::fusion`] is [`FusionMode::Auto`], [`prepare`]
+//! [`crate::LcmmOptions::fusion`] is [`FusionMode::Auto`], `prepare`
 //! plans fused groups over the **unfused** latency table and applies
 //! them, and everything downstream — liveness, interference, DNNK,
 //! splitting, delta replays, gain curves — runs against the fused
@@ -10,16 +10,18 @@
 //! feature-candidate set (see `pipeline::build_front_end`), shrinking
 //! the interference graph.
 //!
-//! Every public entry point of the crate (the pipeline itself,
-//! [`crate::PlanArtifacts`], [`crate::tenant_gain_curve`]) takes the
-//! unfused profile and derives fusion here. This is deliberate: fusion
-//! is **not idempotent** — re-planning over an already-fused table
-//! could re-select groups the first pass rejected for overlap (a group
-//! output's transfers are still present after apply), producing wrong
-//! plans. Centralising the derivation makes double application
-//! structurally impossible, and keeps the plan a pure function of
-//! `(graph, profile, design, options)` so delta replays and memoised
-//! gain curves stay bit-identical to scratch runs.
+//! `prepare` has one caller, [`crate::PlanArtifacts::from_parts`],
+//! which every planning route goes through: a one-shot
+//! [`crate::PlanRequest`], [`crate::tenant_gain_curve`] and cached
+//! delta replans all take the unfused profile and get fusion from
+//! there. This is deliberate: fusion is **not idempotent** —
+//! re-planning over an already-fused table could re-select groups the
+//! first pass rejected for overlap (a group output's transfers are
+//! still present after apply), producing wrong plans. One derivation
+//! site makes double application structurally impossible, and keeps
+//! the plan a pure function of `(graph, profile, design, options)` so
+//! delta replays and memoised gain curves stay bit-identical to
+//! one-shot runs.
 
 use crate::pipeline::LcmmOptions;
 use lcmm_fpga::{AccelDesign, GraphProfile};

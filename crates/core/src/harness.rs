@@ -385,6 +385,9 @@ impl Harness {
     /// Fallible, cancellable variant of [`Harness::lcmm_with_design`].
     /// Cancellations and timeouts are **not** cached — a retry of the
     /// same request recomputes from the shared design/profile caches.
+    /// A miss plans on a throwaway artifact set, like a
+    /// [`crate::PlanRequest`], not through the artifact cache, so its
+    /// counters are those of a from-scratch plan.
     pub fn try_lcmm_with_design(
         &self,
         graph: &Graph,
@@ -392,16 +395,14 @@ impl Harness {
         options: LcmmOptions,
         cancel: Option<&CancelToken>,
     ) -> Result<Arc<LcmmResult>, LcmmError> {
-        let pipeline = Pipeline::new(options);
-        let design = pipeline.lcmm_design(base.clone());
+        let design = Pipeline::new(options).lcmm_design(base.clone());
         let key = (
             graph.fingerprint_key().clone(),
             format!("{}\u{1}{}", fp(&design), fp(&options)),
         );
         let run = self.results.try_get_or_compute::<LcmmError>(key, || {
             let profile = self.profile(graph, &design);
-            let result =
-                pipeline.run_with_profile_checked(graph, design.clone(), &profile, cancel)?;
+            let result = PlanArtifacts::plan_once(graph, design.clone(), profile, options, cancel)?;
             Ok(MemoRun {
                 label: run_label(graph, &design, &options),
                 result: Arc::new(result),

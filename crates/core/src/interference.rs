@@ -11,29 +11,21 @@
 //! The paper's networks top out around 150 layers, where a quadratic
 //! coloring is invisible; thousand-node graphs (see
 //! `lcmm_graph::zoo::synthetic`) are not so forgiving. The production
-//! paths therefore never scan buffer members pairwise:
+//! path therefore never scans buffer members pairwise:
+//! [`InterferenceGraph::color`] indexes each open buffer by a sorted
+//! vector of its occupied intervals (disjoint by construction, so a
+//! placement probe is one binary search) plus a dense member bitset
+//! intersected against per-value false-edge bitset rows.
 //!
-//! * [`InterferenceGraph::color`] indexes each open buffer by a sorted
-//!   vector of its occupied intervals (disjoint by construction, so a
-//!   placement probe is one binary search) plus a dense member bitset
-//!   intersected against per-value false-edge bitset rows.
-//! * [`InterferenceGraph::color_chaitin`] materialises the overlap
-//!   adjacency once with an O(n log n + E) sweep line and runs the
-//!   simplify phase on a bucket queue with incrementally maintained
-//!   degrees — O((n + E) log n) instead of the O(n³) re-count.
-//!
-//! The original pairwise implementations survive as
-//! [`InterferenceGraph::color_reference`] and
-//! [`InterferenceGraph::color_chaitin_reference`]: they are the
-//! executable specification. Property tests assert the fast paths
-//! return byte-identical buffers, and the scaling bench measures the
-//! gap.
+//! The original pairwise implementation survives as
+//! [`InterferenceGraph::color_reference`]: it is the executable
+//! specification. Property tests assert the fast path returns
+//! byte-identical buffers, and the scaling bench measures the gap.
 
 use crate::liveness::LiveInterval;
 use crate::value::ValueId;
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 /// An interference graph over tensor values.
 ///
@@ -199,8 +191,7 @@ impl InterferenceGraph {
 }
 
 /// Dense, sorted view of an [`InterferenceGraph`] backing the fast
-/// coloring paths. Values sorted by [`ValueId`] get dense indices (so
-/// index order *is* id order, which the Chaitin tie-break relies on),
+/// coloring path. Values sorted by [`ValueId`] get dense indices,
 /// intervals live in a flat vector instead of a hash map, and false
 /// edges become bitset rows.
 struct DenseIndex {
@@ -314,232 +305,6 @@ impl OpenBuffer {
         }
         self.members[(idx / 64) as usize] |= 1 << (idx % 64);
         self.nonempty = true;
-    }
-}
-
-impl InterferenceGraph {
-    /// Chaitin-style coloring: repeatedly remove the lowest-degree
-    /// value from the graph (the classic simplify phase), then assign
-    /// buffers in reverse removal order, still picking the compatible
-    /// buffer with the least wasted bytes.
-    ///
-    /// Provided for comparison with the default best-fit-decreasing
-    /// [`InterferenceGraph::color`]; the paper builds on register
-    /// allocation \[4, 6\], where this ordering is the standard one.
-    ///
-    /// The simplify phase maintains degrees incrementally in a bucket
-    /// queue over an adjacency built by one interval sweep — the peel
-    /// order (min `(degree, id)` each round) and therefore the output
-    /// match [`InterferenceGraph::color_chaitin_reference`] exactly.
-    #[must_use]
-    pub fn color_chaitin(&self) -> Vec<VirtualBuffer> {
-        let index = DenseIndex::build(self);
-        let n = index.ids.len();
-        let adj = self.adjacency(&index);
-
-        // Simplify: peel minimum-(degree, id) nodes off a bucket queue,
-        // decrementing surviving neighbours' degrees as we go. Dense
-        // indices are id-sorted, so the per-bucket BTreeSet minimum is
-        // the smallest ValueId of that degree.
-        let mut degree: Vec<usize> = adj.iter().map(Vec::len).collect();
-        let mut buckets: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); n.max(1)];
-        for (i, &d) in degree.iter().enumerate() {
-            buckets[d].insert(i as u32);
-        }
-        let mut removed = vec![false; n];
-        let mut stack: Vec<ValueId> = Vec::with_capacity(n);
-        let mut cur = 0usize;
-        for _ in 0..n {
-            while buckets[cur].is_empty() {
-                cur += 1;
-            }
-            let i = *buckets[cur].iter().next().expect("bucket is nonempty");
-            buckets[cur].remove(&i);
-            removed[i as usize] = true;
-            stack.push(index.ids[i as usize]);
-            for &j in &adj[i as usize] {
-                if removed[j as usize] {
-                    continue;
-                }
-                let d = degree[j as usize];
-                buckets[d].remove(&j);
-                degree[j as usize] = d - 1;
-                buckets[d - 1].insert(j);
-                if d - 1 < cur {
-                    cur = d - 1;
-                }
-            }
-        }
-
-        // Select: assign in reverse removal order with indexed probes.
-        let mut sizes: Vec<u64> = vec![0; n];
-        for &(id, bytes) in &self.nodes {
-            sizes[index.index_of(id) as usize] = bytes;
-        }
-        let mut buffers: Vec<VirtualBuffer> = Vec::new();
-        let mut open: Vec<OpenBuffer> = Vec::new();
-        while let Some(id) = stack.pop() {
-            let idx = index.index_of(id);
-            let interval = index.intervals[idx as usize];
-            let bytes = sizes[idx as usize];
-            let mut best: Option<(u64, usize)> = None;
-            for (i, buf) in buffers.iter().enumerate() {
-                if open[i].conflicts(idx, interval, &index) {
-                    continue;
-                }
-                // Waste if placed here: growth of the buffer plus the
-                // slack left when this value is smaller than it.
-                let new_size = buf.bytes.max(bytes);
-                let waste = (new_size - buf.bytes) + (new_size - bytes);
-                if best.is_none_or(|(w, _)| waste < w) {
-                    best = Some((waste, i));
-                    if waste == 0 {
-                        break; // exact fit: no later buffer can win
-                    }
-                }
-            }
-            match best {
-                Some((_, i)) => {
-                    buffers[i].members.push(id);
-                    buffers[i].bytes = buffers[i].bytes.max(bytes);
-                    open[i].insert(idx, interval);
-                }
-                None => {
-                    buffers.push(VirtualBuffer {
-                        members: vec![id],
-                        bytes,
-                    });
-                    let mut o = OpenBuffer::new(index.words);
-                    o.insert(idx, interval);
-                    open.push(o);
-                }
-            }
-        }
-        buffers
-    }
-
-    /// The original Chaitin coloring, kept as the executable
-    /// specification of [`InterferenceGraph::color_chaitin`]: the
-    /// simplify phase re-counts every remaining pair per peel (O(n³)
-    /// interference probes). Used by property tests and the scaling
-    /// bench only.
-    #[must_use]
-    pub fn color_chaitin_reference(&self) -> Vec<VirtualBuffer> {
-        // Simplify: peel minimum-degree nodes.
-        let mut remaining: Vec<ValueId> = self.nodes.iter().map(|&(id, _)| id).collect();
-        let mut stack: Vec<ValueId> = Vec::with_capacity(remaining.len());
-        while !remaining.is_empty() {
-            let (idx, _) = remaining
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| {
-                    let degree = remaining
-                        .iter()
-                        .filter(|&&o| o != v && self.interferes(v, o))
-                        .count();
-                    (i, (degree, v))
-                })
-                .min_by_key(|&(_, key)| key)
-                .expect("remaining is nonempty");
-            stack.push(remaining.swap_remove(idx));
-        }
-        // Select: assign in reverse removal order.
-        let size_of: HashMap<ValueId, u64> = self.nodes.iter().copied().collect();
-        let mut buffers: Vec<VirtualBuffer> = Vec::new();
-        while let Some(id) = stack.pop() {
-            let bytes = size_of[&id];
-            let mut best: Option<(u64, usize)> = None;
-            for (i, buf) in buffers.iter().enumerate() {
-                if buf.members.iter().any(|&m| self.interferes(id, m)) {
-                    continue;
-                }
-                let new_size = buf.bytes.max(bytes);
-                let waste = (new_size - buf.bytes) + (new_size - bytes);
-                if best.is_none_or(|(w, _)| waste < w) {
-                    best = Some((waste, i));
-                }
-            }
-            match best {
-                Some((_, i)) => {
-                    buffers[i].members.push(id);
-                    buffers[i].bytes = buffers[i].bytes.max(bytes);
-                }
-                None => buffers.push(VirtualBuffer {
-                    members: vec![id],
-                    bytes,
-                }),
-            }
-        }
-        buffers
-    }
-
-    /// Materialises the full interference adjacency (overlap edges via
-    /// an O(n log n + E) sweep line, plus unknown-lifespan values that
-    /// conservatively touch everything, plus false edges) as dense
-    /// neighbour lists. Each undirected edge appears once per endpoint.
-    fn adjacency(&self, index: &DenseIndex) -> Vec<Vec<u32>> {
-        let n = index.ids.len();
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-
-        // Overlap edges: sweep known intervals by start; the active set
-        // (a min-heap by end) holds exactly the earlier-starting
-        // intervals a new one can still overlap.
-        let mut by_start: Vec<u32> = (0..n as u32)
-            .filter(|&i| index.intervals[i as usize].is_some())
-            .collect();
-        by_start.sort_unstable_by_key(|&i| {
-            let iv = index.intervals[i as usize].expect("filtered to known");
-            (iv.start, i)
-        });
-        let mut active: BinaryHeap<Reverse<(usize, u32)>> = BinaryHeap::new();
-        for &i in &by_start {
-            let iv = index.intervals[i as usize].expect("filtered to known");
-            while let Some(&Reverse((end, _))) = active.peek() {
-                if end < iv.start {
-                    active.pop();
-                } else {
-                    break;
-                }
-            }
-            for &Reverse((_, j)) in &active {
-                adj[i as usize].push(j);
-                adj[j as usize].push(i);
-            }
-            active.push(Reverse((iv.end, i)));
-        }
-
-        // Unknown lifespans: conservatively adjacent to everything.
-        let unknowns: Vec<u32> = (0..n as u32)
-            .filter(|&i| index.intervals[i as usize].is_none())
-            .collect();
-        for (k, &u) in unknowns.iter().enumerate() {
-            for v in 0..n as u32 {
-                if v != u && index.intervals[v as usize].is_some() {
-                    adj[u as usize].push(v);
-                    adj[v as usize].push(u);
-                }
-            }
-            for &u2 in &unknowns[k + 1..] {
-                adj[u as usize].push(u2);
-                adj[u2 as usize].push(u);
-            }
-        }
-
-        // False edges not already implied by overlap or unknown-ness.
-        for &(a, b) in &self.false_edges {
-            let (Ok(ia), Ok(ib)) = (index.ids.binary_search(&a), index.ids.binary_search(&b))
-            else {
-                continue;
-            };
-            match (index.intervals[ia], index.intervals[ib]) {
-                (Some(x), Some(y)) if !x.overlaps(&y) => {
-                    adj[ia].push(ib as u32);
-                    adj[ib].push(ia as u32);
-                }
-                _ => {} // already adjacent via overlap or unknown
-            }
-        }
-        adj
     }
 }
 
@@ -665,52 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn chaitin_coloring_is_also_conflict_free() {
-        let spans: Vec<(usize, u64, usize, usize)> = (0..24)
-            .map(|i| (i, 50 + (i as u64 * 91) % 400, i, i + 4))
-            .collect();
-        let g = graph_of(&spans);
-        for buf in g.color_chaitin() {
-            for (ai, &a) in buf.members.iter().enumerate() {
-                for &b in &buf.members[ai + 1..] {
-                    assert!(!g.interferes(a, b));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn best_fit_decreasing_not_worse_than_chaitin_on_real_graphs() {
-        use crate::liveness::{feature_lifespans, Schedule};
-        use crate::value::ValueTable;
-        use lcmm_fpga::{AccelDesign, Device, Precision};
-        for g in [
-            lcmm_graph::zoo::googlenet(),
-            lcmm_graph::zoo::inception_v4(),
-        ] {
-            let d = AccelDesign::explore(&g, &Device::vu9p(), Precision::Fix16);
-            let p = d.profile(&g);
-            let t = ValueTable::build(&g, &p, Precision::Fix16);
-            let s = Schedule::new(&g);
-            let spans = feature_lifespans(&s, t.feature_candidates());
-            let ig = InterferenceGraph::new(
-                t.feature_candidates()
-                    .map(|v| (v.id, v.bytes, spans[&v.id]))
-                    .collect(),
-            );
-            let bfd: u64 = ig.color().iter().map(|b| b.bytes).sum();
-            let chaitin: u64 = ig.color_chaitin().iter().map(|b| b.bytes).sum();
-            // Size-aware BFD should not lose to degree-ordered Chaitin
-            // on the byte objective (it may tie).
-            assert!(
-                bfd <= chaitin + chaitin / 10,
-                "{}: bfd {bfd} vs chaitin {chaitin}",
-                g.name()
-            );
-        }
-    }
-
-    #[test]
     fn unknown_interval_is_conservative() {
         let mut g = graph_of(&[(1, 100, 0, 1)]);
         g.nodes.push((f(9), 50));
@@ -718,7 +437,7 @@ mod tests {
         assert!(!g.interferes(f(1), f(1)));
     }
 
-    /// The indexed fast paths are drop-in replacements: byte-identical
+    /// The indexed fast path is a drop-in replacement: byte-identical
     /// output, including member order inside each buffer.
     #[test]
     fn indexed_coloring_matches_reference_on_zoo_graphs() {
@@ -741,12 +460,6 @@ mod tests {
                     .collect(),
             );
             assert_eq!(ig.color(), ig.color_reference(), "{}", g.name());
-            assert_eq!(
-                ig.color_chaitin(),
-                ig.color_chaitin_reference(),
-                "{}",
-                g.name()
-            );
             // Force splits with false edges between same-buffer members
             // and re-check (mirrors what splitting::refine does).
             let bufs = ig.color();
@@ -767,12 +480,6 @@ mod tests {
                 "{} + false edges",
                 g.name()
             );
-            assert_eq!(
-                ig.color_chaitin(),
-                ig.color_chaitin_reference(),
-                "{} + false edges",
-                g.name()
-            );
         }
     }
 
@@ -784,6 +491,5 @@ mod tests {
         g.nodes.push((f(10), 300));
         g.add_false_edge(f(2), f(3));
         assert_eq!(g.color(), g.color_reference());
-        assert_eq!(g.color_chaitin(), g.color_chaitin_reference());
     }
 }

@@ -1,9 +1,9 @@
 //! The LCMM pipeline (paper Fig. 4): feature buffer reuse → weight
 //! buffer prefetching → DNNK allocation → buffer splitting.
 
-use crate::alloc::dnnk::{self, TableMemo};
 use crate::alloc::{dnnk_iterative, exhaustive, greedy, AllocProblem};
 use crate::cancel::{check_opt, CancelToken};
+use crate::delta::PlanArtifacts;
 use crate::error::LcmmError;
 use crate::eval::{Evaluator, Residency};
 use crate::fusion::{FusionMode, FusionPlan};
@@ -11,7 +11,7 @@ use crate::interference::{FalseEdge, InterferenceGraph, VirtualBuffer};
 use crate::liveness::{feature_lifespans, Schedule};
 use crate::prefetch::{PrefetchPlan, StreamingMode, WeightMode};
 use crate::profiling::{self, PassStats};
-use crate::splitting::{color_all, refine_from, SplitConfig, SplitInputs};
+use crate::splitting::{refine_from, SplitConfig, SplitInputs};
 use crate::umm::UmmBaseline;
 use crate::value::ValueTable;
 use lcmm_fpga::{
@@ -269,7 +269,9 @@ impl LcmmResult {
     }
 }
 
-/// The LCMM pipeline driver.
+/// The LCMM pipeline's options and the design derating they imply.
+/// Planning runs go through [`crate::PlanRequest`] or
+/// [`crate::PlanArtifacts`].
 #[derive(Debug, Clone, Default)]
 pub struct Pipeline {
     options: LcmmOptions,
@@ -300,90 +302,6 @@ impl Pipeline {
         base.with_frequency(freq)
             .with_tile_budget(TileBudget::default_lcmm())
     }
-
-    /// The checked engine behind [`crate::PlanRequest`]: derates `base`
-    /// via [`Pipeline::lcmm_design`], profiles it, and runs passes 1–4,
-    /// polling `cancel` at every pass boundary.
-    ///
-    /// # Errors
-    ///
-    /// [`LcmmError::Cancelled`] / [`LcmmError::DeadlineExceeded`] when
-    /// `cancel` trips at a check point.
-    pub(crate) fn run_with_design_checked(
-        &self,
-        graph: &Graph,
-        base: AccelDesign,
-        cancel: Option<&CancelToken>,
-    ) -> Result<LcmmResult, LcmmError> {
-        check_opt(cancel)?;
-        let design = self.lcmm_design(base);
-        let t_profile = Instant::now();
-        let profile = design.profile(graph);
-        let profile_seconds = t_profile.elapsed().as_secs_f64();
-        let mut result = self.run_with_profile_checked(graph, design, &profile, cancel)?;
-        result.stats.profile_seconds = profile_seconds;
-        result.stats.total_seconds += profile_seconds;
-        Ok(result)
-    }
-
-    /// The checked engine for an already-derated design and its latency
-    /// table (the memoization seam of the evaluation harness: the
-    /// profile is by far the most expensive shared artefact, and every
-    /// ablation variant of the same design can reuse one copy).
-    ///
-    /// Cancellation is cooperative: `cancel` is polled before pass 1 and
-    /// after every pass, so a run is abandoned at the next pass boundary
-    /// after the token trips.
-    ///
-    /// # Errors
-    ///
-    /// [`LcmmError::Cancelled`] / [`LcmmError::DeadlineExceeded`] when
-    /// `cancel` trips at a check point.
-    pub(crate) fn run_with_profile_checked(
-        &self,
-        graph: &Graph,
-        design: AccelDesign,
-        profile: &GraphProfile,
-        cancel: Option<&CancelToken>,
-    ) -> Result<LcmmResult, LcmmError> {
-        check_opt(cancel)?;
-        profiling::reset_counters();
-        let t_total = Instant::now();
-        // Fusion is derived here, from the unfused profile, and never
-        // re-derived downstream (see `crate::fusion` on why re-fusing a
-        // fused table is unsound). With fusion off or empty the
-        // original profile flows through untouched.
-        let prepared = crate::fusion::prepare(graph, profile, &design, &self.options);
-        let (fusion, effective): (FusionPlan, &GraphProfile) = match &prepared {
-            Some((plan, fused)) => (plan.clone(), fused),
-            None => (FusionPlan::default(), profile),
-        };
-        let evaluator = Evaluator::new(graph, effective);
-        let front = build_front_end(
-            graph,
-            effective,
-            &evaluator,
-            &design,
-            &self.options,
-            &fusion,
-            cancel,
-        )?;
-        let mut result = run_back_end(BackEnd {
-            graph,
-            design,
-            profile: effective,
-            evaluator: &evaluator,
-            options: &self.options,
-            front: &front,
-            initial_buffers: None,
-            tables: None,
-            t_total,
-            cancel,
-        })?;
-        result.stats.liveness_seconds = front.liveness_seconds;
-        result.stats.prefetch_seconds = front.prefetch_seconds;
-        Ok(result)
-    }
 }
 
 /// The budget-invariant intermediates of passes 1–2: liveness intervals
@@ -409,11 +327,11 @@ pub(crate) struct FrontEnd {
     pub prefetch_seconds: f64,
 }
 
-/// Runs passes 1–2 exactly as the full pipeline does. Shared by the
-/// pipeline itself, [`crate::coplan::tenant_gain_curve`], and the
-/// artifact builds of [`crate::delta`], so all three produce
-/// byte-identical interference graphs and prefetch plans by
-/// construction.
+/// Runs passes 1–2 on the (fused, when fusion selected groups) latency
+/// table. Its one caller is [`PlanArtifacts::from_parts`], which every
+/// planning route goes through — a one-shot [`crate::PlanRequest`], a
+/// gain curve, a cached delta replan — so they all plan on one front
+/// end by construction.
 pub(crate) fn build_front_end(
     graph: &Graph,
     profile: &GraphProfile,
@@ -485,74 +403,33 @@ pub(crate) fn build_front_end(
     })
 }
 
-/// The allocator callback for `kind`, shared by the pipeline and the
-/// delta replay so both resolve options identically.
-pub(crate) fn allocator_fn(kind: AllocatorKind) -> crate::splitting::AllocatorFn {
-    match kind {
-        AllocatorKind::Dnnk => dnnk::allocate as fn(&AllocProblem<'_>) -> _,
-        AllocatorKind::DnnkIterative => dnnk_iterative::allocate,
-        AllocatorKind::Greedy => greedy::allocate,
-        AllocatorKind::Exhaustive => exhaustive::allocate,
-    }
-}
-
-/// The effective knapsack budget: an explicit `tensor_budget` clamped to
-/// the design's own SRAM budget, or the full design budget.
-pub(crate) fn effective_budget(options: &LcmmOptions, design: &AccelDesign) -> u64 {
-    match options.tensor_budget {
-        Some(b) => b.min(design.tensor_sram_budget()),
-        None => design.tensor_sram_budget(),
-    }
-}
-
-/// What the budget-dependent tail of the pipeline runs on: prebuilt
-/// front-end artifacts plus the budget-carrying options.
-pub(crate) struct BackEnd<'a> {
-    pub graph: &'a Graph,
-    pub design: AccelDesign,
-    /// The latency table the front end was built against (fused when
-    /// fusion selected groups).
-    pub profile: &'a GraphProfile,
-    pub evaluator: &'a Evaluator<'a>,
-    pub options: &'a LcmmOptions,
-    pub front: &'a FrontEnd,
-    /// The initial coloring of the front end's graphs, when the caller
-    /// keeps one; `None` colors them here.
-    pub initial_buffers: Option<&'a [VirtualBuffer]>,
-    /// Stored DNNK tables that answer `allocator: dnnk` calls (delta
-    /// replans); `None` runs every DP fresh.
-    pub tables: Option<&'a TableMemo>,
-    /// Anchors the run's `total_seconds`: the caller started it before
-    /// the front end, or before the replay for a delta replan, and
-    /// reset the profiling counters at the same point.
-    pub t_total: Instant,
-    pub cancel: Option<&'a CancelToken>,
-}
-
-/// Runs passes 3–4 and reporting on prebuilt front-end artifacts — the
-/// budget-dependent tail of the pipeline. The result's stats report 0 s
-/// for liveness and prefetch, which ran elsewhere: a caller that ran
-/// them fills those fields in.
-pub(crate) fn run_back_end(inputs: BackEnd<'_>) -> Result<LcmmResult, LcmmError> {
-    let BackEnd {
-        graph,
-        design,
-        profile,
-        evaluator,
-        options,
-        front,
-        initial_buffers,
-        tables,
-        t_total,
-        cancel,
-    } = inputs;
+/// Runs passes 3–4 and reporting at `budget` (`None` = the design's full
+/// SRAM budget) on the front end of `artifacts` — the budget-dependent
+/// tail of the pipeline. `t_total` anchors the run's `total_seconds`:
+/// the caller started it, and reset the profiling counters, before the
+/// replay (or before the build, for a one-shot plan). The result's stats
+/// report 0 s for liveness and prefetch, which ran in the build: a
+/// caller that ran them fills those fields in.
+pub(crate) fn run_back_end(
+    artifacts: &PlanArtifacts,
+    graph: &Graph,
+    budget: Option<u64>,
+    t_total: Instant,
+    cancel: Option<&CancelToken>,
+) -> Result<LcmmResult, LcmmError> {
+    let options = artifacts.options();
+    let design = artifacts.design().clone();
+    // An explicit budget is clamped to the design's own SRAM budget.
+    let full_budget = design.tensor_sram_budget();
+    let profile = artifacts.effective_profile();
+    let evaluator = Evaluator::new(graph, profile);
+    let front = &artifacts.front;
 
     // --- Pass 3 + 4: DNNK allocation with splitting ------------------
+    // The initial coloring is memoized per artifact set: the first run
+    // on a set colors here, so the coloring is timed inside the pass.
     let t_pass = Instant::now();
-    let buffers = match initial_buffers {
-        Some(buffers) => buffers.to_vec(),
-        None => color_all(&front.feature_graph, &front.weight_graph),
-    };
+    let buffers = artifacts.initial_buffers().to_vec();
     // The exact allocator enumerates 2^n subsets: refuse a buffer set it
     // cannot enumerate instead of planning it with the empty allocation.
     if options.allocator == AllocatorKind::Exhaustive && buffers.len() > exhaustive::MAX_BUFFERS {
@@ -562,11 +439,13 @@ pub(crate) fn run_back_end(inputs: BackEnd<'_>) -> Result<LcmmResult, LcmmError>
             buffers.len()
         )));
     }
-    let allocator = allocator_fn(options.allocator);
-    let tables = tables.filter(|_| options.allocator == AllocatorKind::Dnnk);
-    let allocate = |problem: &AllocProblem<'_>, edges: &[FalseEdge]| match tables {
-        Some(tables) => tables.allocate(problem, edges),
-        None => allocator(problem),
+    // `allocator: dnnk` calls backtrack from the set's stored DNNK
+    // tables where one is wide enough (see `docs/DELTA.md`).
+    let allocate = |problem: &AllocProblem<'_>, edges: &[FalseEdge]| match options.allocator {
+        AllocatorKind::Dnnk => artifacts.tables.allocate(problem, edges),
+        AllocatorKind::DnnkIterative => dnnk_iterative::allocate(problem),
+        AllocatorKind::Greedy => greedy::allocate(problem),
+        AllocatorKind::Exhaustive => exhaustive::allocate(problem),
     };
     let split_config = if options.splitting {
         SplitConfig::default()
@@ -574,9 +453,9 @@ pub(crate) fn run_back_end(inputs: BackEnd<'_>) -> Result<LcmmResult, LcmmError>
         SplitConfig { max_iterations: 0 }
     };
     let split_inputs = SplitInputs {
-        evaluator,
+        evaluator: &evaluator,
         precision: design.precision,
-        budget_bytes: effective_budget(options, &design),
+        budget_bytes: budget.map_or(full_budget, |b| b.min(full_budget)),
         plan: &front.prefetch,
         streaming: options.weight_streaming,
         feature_graph: &front.feature_graph,
@@ -663,8 +542,9 @@ pub fn block_ops(graph: &Graph, block: &str) -> u64 {
 #[must_use]
 pub fn compare(graph: &Graph, device: &Device, precision: Precision) -> (UmmBaseline, LcmmResult) {
     let umm = UmmBaseline::build(graph, device, precision);
-    let lcmm = Pipeline::new(LcmmOptions::default())
-        .run_with_design_checked(graph, umm.design.clone(), None)
+    let lcmm = crate::PlanRequest::new(graph, device, precision)
+        .with_design(umm.design.clone())
+        .run()
         .expect("uncancellable run cannot fail");
     (umm, lcmm)
 }
@@ -689,8 +569,10 @@ mod tests {
         let device = Device::vu9p();
         let umm = UmmBaseline::build(&g, &device, Precision::Fix16);
         let variant = |options: LcmmOptions| {
-            Pipeline::new(options)
-                .run_with_design_checked(&g, umm.design.clone(), None)
+            crate::PlanRequest::new(&g, &device, Precision::Fix16)
+                .options(options)
+                .with_design(umm.design.clone())
+                .run()
                 .expect("explored design is feasible")
         };
         let full = variant(LcmmOptions::default());

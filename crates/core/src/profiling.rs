@@ -1,6 +1,6 @@
 //! Per-pass instrumentation of the LCMM pipeline.
 //!
-//! Every [`crate::Pipeline`] run produces a [`PassStats`]: wall-clock
+//! Every planning run produces a [`PassStats`]: wall-clock
 //! timings of the four passes plus the algorithmic counters that tell
 //! you *why* a run was slow (DP cells visited, gain-cache hit rate,
 //! split iterations accepted vs rejected, evaluator calls).

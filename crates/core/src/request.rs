@@ -18,16 +18,18 @@
 //!
 //! Precomputed artefacts slot in through [`PlanRequest::with_design`]
 //! (an explored UMM base design) and [`PlanRequest::with_profile`] (the
-//! latency table of the *derated* design) — the memoization seams the
-//! evaluation harness and the serve daemon reuse. A [`CancelToken`]
+//! latency table of the *derated* design). A [`CancelToken`]
 //! or [`PlanRequest::deadline`] makes the run abortable at every pass
-//! boundary.
+//! boundary. A request is the one-shot use of [`PlanArtifacts`]: it
+//! builds a throwaway artifact set and replays its budget once.
 
-use crate::cancel::CancelToken;
+use crate::cancel::{check_opt, CancelToken};
+use crate::delta::PlanArtifacts;
 use crate::error::LcmmError;
 use crate::pipeline::{AllocatorKind, LcmmOptions, LcmmResult, Pipeline};
 use lcmm_fpga::{AccelDesign, Device, GraphProfile, Precision};
 use lcmm_graph::Graph;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A single planning request: one graph on one device at one precision,
@@ -139,7 +141,6 @@ impl<'a> PlanRequest<'a> {
     /// * [`LcmmError::Cancelled`] / [`LcmmError::DeadlineExceeded`] —
     ///   the cancel token tripped at a pass boundary.
     pub fn run(self) -> Result<LcmmResult, LcmmError> {
-        let pipeline = Pipeline::new(self.options);
         let cancel = self.cancel.as_ref();
         if let Some(design) = &self.design {
             if design.precision != self.precision {
@@ -149,21 +150,32 @@ impl<'a> PlanRequest<'a> {
                 )));
             }
         }
-        match (self.design, self.profile) {
-            (Some(design), Some(profile)) => {
-                pipeline.run_with_profile_checked(self.graph, design, profile, cancel)
-            }
-            (Some(base), None) => pipeline.run_with_design_checked(self.graph, base, cancel),
-            (None, None) => {
-                let base = AccelDesign::try_explore(self.graph, self.device, self.precision)
-                    .map_err(LcmmError::BudgetInfeasible)?;
-                pipeline.run_with_design_checked(self.graph, base, cancel)
-            }
-            (None, Some(_)) => Err(LcmmError::InvalidRequest(
+        if self.design.is_none() && self.profile.is_some() {
+            return Err(LcmmError::InvalidRequest(
                 "with_profile requires with_design (the derated design the profile belongs to)"
                     .to_string(),
-            )),
+            ));
         }
+        let (design, profile, profile_seconds) = match (self.design, self.profile) {
+            (Some(design), Some(profile)) => (design, Arc::new(profile.clone()), 0.0),
+            (base, _) => {
+                let base = match base {
+                    Some(base) => base,
+                    None => AccelDesign::try_explore(self.graph, self.device, self.precision)
+                        .map_err(LcmmError::BudgetInfeasible)?,
+                };
+                check_opt(cancel)?;
+                let design = Pipeline::new(self.options).lcmm_design(base);
+                let t_profile = Instant::now();
+                let profile = Arc::new(design.profile(self.graph));
+                (design, profile, t_profile.elapsed().as_secs_f64())
+            }
+        };
+        let mut result =
+            PlanArtifacts::plan_once(self.graph, design, profile, self.options, cancel)?;
+        result.stats.profile_seconds = profile_seconds;
+        result.stats.total_seconds += profile_seconds;
+        Ok(result)
     }
 }
 
@@ -177,8 +189,9 @@ mod tests {
         let g = zoo::alexnet();
         let device = Device::vu9p();
         let base = AccelDesign::explore(&g, &device, Precision::Fix16);
-        let explicit = Pipeline::new(LcmmOptions::default())
-            .run_with_design_checked(&g, base, None)
+        let explicit = PlanRequest::new(&g, &device, Precision::Fix16)
+            .with_design(base)
+            .run()
             .expect("explored design is feasible");
         let new = PlanRequest::new(&g, &device, Precision::Fix16)
             .run()

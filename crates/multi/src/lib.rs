@@ -68,8 +68,8 @@ pub struct TenantSpec {
     pub precision: Precision,
     /// Weight of this tenant in the aggregate objective (default 1.0).
     pub weight: f64,
-    /// Optional latency SLO in seconds, for the max-SLO-violation
-    /// objective.
+    /// Optional latency SLO in seconds, the workload simulator's SLO
+    /// for this tenant when its trace sets none.
     pub slo_seconds: Option<f64>,
     /// Explicit compute share in `(0, 1]`. When any tenant leaves this
     /// `None`, the planner searches over splits instead (all tenants
@@ -113,16 +113,6 @@ impl TenantSpec {
     }
 }
 
-/// Aggregate objective minimised by the split search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Objective {
-    /// Σ `weight_t` × contended latency (seconds) — the default.
-    WeightedLatency,
-    /// max over tenants of `contended_latency / slo` (tenants without
-    /// an SLO contribute 0).
-    MaxSloViolation,
-}
-
 /// Co-planner configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[non_exhaustive]
@@ -133,16 +123,6 @@ pub struct CoplanOptions {
     /// Share-grid resolution for the split search: shares move in steps
     /// of `1 / search_steps`.
     pub search_steps: usize,
-    /// Objective the search minimises.
-    pub objective: Objective,
-    /// Reuse budget-invariant pass artifacts across grid points and
-    /// finalisation runs ([`lcmm_core::delta`]). `None` means the
-    /// default (**on**) — the `Option` keeps older serialized requests
-    /// without the field deserializing. The delta path is bit-identical
-    /// to scratch planning, so turning it off exists only for A/B
-    /// verification (`lcmm multi --no-delta`, the CI delta-equivalence
-    /// gate). Read it through [`CoplanOptions::delta_replan`].
-    pub delta_replan: Option<bool>,
 }
 
 impl Default for CoplanOptions {
@@ -150,8 +130,6 @@ impl Default for CoplanOptions {
         Self {
             options: LcmmOptions::default(),
             search_steps: 8,
-            objective: Objective::WeightedLatency,
-            delta_replan: None,
         }
     }
 }
@@ -169,26 +147,6 @@ impl CoplanOptions {
     pub fn with_search_steps(mut self, steps: usize) -> Self {
         self.search_steps = steps;
         self
-    }
-
-    /// Returns a copy minimising `objective`.
-    #[must_use]
-    pub fn with_objective(mut self, objective: Objective) -> Self {
-        self.objective = objective;
-        self
-    }
-
-    /// Returns a copy with the delta-replan artifact reuse toggled.
-    #[must_use]
-    pub fn with_delta_replan(mut self, on: bool) -> Self {
-        self.delta_replan = Some(on);
-        self
-    }
-
-    /// Whether planning reuses delta artifacts (the unset default is on).
-    #[must_use]
-    pub fn delta_replan(&self) -> bool {
-        self.delta_replan.unwrap_or(true)
     }
 }
 
@@ -221,7 +179,8 @@ pub struct SplitPoint {
     pub weighted_latency: f64,
     /// Aggregate throughput, inferences per second (Σ 1/latency).
     pub throughput: f64,
-    /// The minimised objective's value at this split.
+    /// The minimised objective's value at this split: the weighted
+    /// contended latency.
     pub objective_value: f64,
     /// Whether the point is Pareto-optimal in
     /// (weighted_latency ↓, throughput ↑) over the searched grid.
@@ -264,9 +223,8 @@ impl Coplan {
 ///
 /// With explicit shares on every tenant the split is taken as given
 /// (shares must sum to at most 1); with no shares the planner searches
-/// the share grid and keeps the split minimising
-/// [`CoplanOptions::objective`]. Mixing explicit and searched shares is
-/// rejected.
+/// the share grid and keeps the split minimising the weighted contended
+/// latency. Mixing explicit and searched shares is rejected.
 ///
 /// # Errors
 ///

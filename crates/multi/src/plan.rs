@@ -1,9 +1,9 @@
 //! Evaluating one split: partition → joint knapsack → finalise →
 //! contention.
 
-use crate::{Coplan, CoplanOptions, Objective, SplitPoint, TenantPlan, TenantSpec};
-use lcmm_core::coplan::{tenant_gain_curve, GainCurve, CAPACITY_UNIT_BYTES};
-use lcmm_core::{Harness, LcmmError, Pipeline};
+use crate::{Coplan, CoplanOptions, SplitPoint, TenantPlan, TenantSpec};
+use lcmm_core::coplan::{GainCurve, CAPACITY_UNIT_BYTES};
+use lcmm_core::{Harness, LcmmError};
 use lcmm_fpga::{AccelDesign, Device};
 use lcmm_sim::{cross_tenant_contention, tenant_load};
 
@@ -141,10 +141,12 @@ pub fn plan_with_shares(
     opts: &CoplanOptions,
 ) -> Result<(Coplan, SplitPoint), LcmmError> {
     assert_eq!(tenants.len(), shares.len(), "one share per tenant");
-    let pipeline = Pipeline::new(opts.options);
 
-    // Conserving partition views (largest-remainder apportionment) and
-    // the tenants' base designs on them.
+    // Conserving partition views (largest-remainder apportionment), the
+    // tenants' base designs on them, and their cached pass 1–2
+    // artifacts: a design point the search revisits (repeated slice
+    // sizes across grid points) reuses its front end, gain-curve memo
+    // and DNNK tables.
     let parts = device
         .partition_set(shares)
         .map_err(LcmmError::BudgetInfeasible)?;
@@ -152,49 +154,20 @@ pub fn plan_with_shares(
     for (t, part) in tenants.iter().zip(&parts) {
         bases.push(harness.try_design(&t.graph, part, t.precision)?);
     }
-
-    // Joint knapsack over the shared pool. The delta path reuses cached
-    // pass 1–2 artifacts (and their per-pool gain-curve memo) across
-    // grid points and replans only passes 3–4 per tenant; the scratch
-    // path is the original full recomputation, kept for A/B
-    // verification. Both are bit-identical (docs/DELTA.md).
     let mut artifacts = Vec::with_capacity(tenants.len());
-    let mut derated = Vec::with_capacity(tenants.len());
-    if opts.delta_replan() {
-        for (t, base) in tenants.iter().zip(&bases) {
-            artifacts.push(harness.try_artifacts(&t.graph, base, opts.options, None)?);
-        }
-    } else {
-        for base in &bases {
-            derated.push(pipeline.lcmm_design((**base).clone()));
-        }
+    for (t, base) in tenants.iter().zip(&bases) {
+        artifacts.push(harness.try_artifacts(&t.graph, base, opts.options, None)?);
     }
-    let derated_refs: Vec<&AccelDesign> = if opts.delta_replan() {
-        artifacts.iter().map(|a| a.design()).collect()
-    } else {
-        derated.iter().collect()
-    };
-    let pool = pool_bytes(&derated_refs);
+
+    // Joint knapsack over the shared pool.
+    let derated: Vec<&AccelDesign> = artifacts.iter().map(|a| a.design()).collect();
+    let pool = pool_bytes(&derated);
     let units = (pool / CAPACITY_UNIT_BYTES) as usize;
-    let curves: Vec<(f64, GainCurve)> = if opts.delta_replan() {
-        tenants
-            .iter()
-            .zip(&artifacts)
-            .map(|(t, a)| Ok((t.weight, (*a.gain_curve(&t.graph, pool)?).clone())))
-            .collect::<Result<_, LcmmError>>()?
-    } else {
-        tenants
-            .iter()
-            .zip(&derated)
-            .map(|(t, d)| {
-                let profile = harness.profile(&t.graph, d);
-                (
-                    t.weight,
-                    tenant_gain_curve(&t.graph, &profile, d, &opts.options, pool),
-                )
-            })
-            .collect()
-    };
+    let curves: Vec<(f64, GainCurve)> = tenants
+        .iter()
+        .zip(&artifacts)
+        .map(|(t, a)| Ok((t.weight, (*a.gain_curve(&t.graph, pool)?).clone())))
+        .collect::<Result<_, LcmmError>>()?;
     let mut grants = joint_capacity_dp(&curves, units);
     // Unclaimed units and the sub-unit remainder go to the first
     // tenant: they are free (a larger budget never hurts DNNK), and
@@ -208,18 +181,14 @@ pub fn plan_with_shares(
         .collect();
     budgets[0] += pool - units as u64 * CAPACITY_UNIT_BYTES;
 
-    // Finalise each tenant with the full pipeline under its grant.
+    // Finalise each tenant with a replan at its grant.
     let mut plans = Vec::with_capacity(tenants.len());
     let mut loads = Vec::with_capacity(tenants.len());
     for ((t, base), (&share, &budget)) in
         tenants.iter().zip(&bases).zip(shares.iter().zip(&budgets))
     {
-        let result = if opts.delta_replan() {
-            harness.try_replan_with_budget(&t.graph, base, opts.options, Some(budget), None)?
-        } else {
-            let options = opts.options.with_tensor_budget(Some(budget));
-            harness.try_lcmm_with_design(&t.graph, base, options, None)?
-        };
+        let result =
+            harness.try_replan_with_budget(&t.graph, base, opts.options, Some(budget), None)?;
         let load = tenant_load(&t.graph, &result);
         plans.push(TenantPlan {
             name: t.name.clone(),
@@ -250,19 +219,11 @@ pub fn plan_with_shares(
         .map(|(t, p)| t.weight * p.contended_latency)
         .sum();
     let throughput: f64 = plans.iter().map(|p| 1.0 / p.contended_latency).sum();
-    let objective_value = match opts.objective {
-        Objective::WeightedLatency => weighted_latency,
-        Objective::MaxSloViolation => tenants
-            .iter()
-            .zip(&plans)
-            .filter_map(|(t, p)| t.slo_seconds.map(|slo| p.contended_latency / slo))
-            .fold(0.0f64, f64::max),
-    };
     let point = SplitPoint {
         shares: shares.to_vec(),
         weighted_latency,
         throughput,
-        objective_value,
+        objective_value: weighted_latency,
         pareto: false,
     };
     let plan = Coplan {
@@ -270,7 +231,7 @@ pub fn plan_with_shares(
         tenants: plans,
         pool_bytes: pool,
         contention,
-        objective_value,
+        objective_value: weighted_latency,
         frontier: Vec::new(),
     };
     Ok((plan, point))

@@ -6,12 +6,16 @@
 //! 2. the sum of the per-tenant grants never exceeds the shared pool,
 //!    which never exceeds the device SRAM;
 //! 3. a single tenant with a 100 % share is bit-identical to the
-//!    single-model pipeline.
+//!    single-model pipeline;
+//! 4. planning a grid point on a harness shared across the grid is
+//!    bit-identical to planning it on a fresh harness.
 
-use lcmm_core::{Harness, PlanRequest};
+use lcmm_core::{FusionMode, Harness, LcmmOptions, PlanRequest, StreamingMode};
 use lcmm_fpga::{Device, Precision};
 use lcmm_graph::{zoo, Graph};
-use lcmm_multi::{coplan, Coplan, CoplanOptions, TenantSpec};
+use lcmm_multi::{
+    coplan, coplan_summary, plan_with_shares, share_grid, Coplan, CoplanOptions, TenantSpec,
+};
 use proptest::prelude::*;
 
 fn plan_two(
@@ -159,4 +163,55 @@ fn coplan_is_deterministic_across_jobs() {
     let a = serde_json::to_string(&lcmm_multi::coplan_summary(&serial)).expect("serialises");
     let b = serde_json::to_string(&lcmm_multi::coplan_summary(&parallel)).expect("serialises");
     assert_eq!(a, b, "co-planning must be invisible to --jobs");
+}
+
+#[test]
+fn shared_harness_plans_every_grid_point_like_a_fresh_one() {
+    // A harness carries artifact sets, gain-curve memos and DNNK tables
+    // from one grid point to the next; none of it may change a plan.
+    let device = Device::vu9p();
+    let zoo_tenants = [
+        ("mobilenet", zoo::mobilenet()),
+        ("alexnet", zoo::alexnet()),
+        ("squeezenet", zoo::squeezenet()),
+    ];
+    let summary = |plan: &Coplan| serde_json::to_string(&coplan_summary(plan)).expect("serialises");
+    for (count, steps) in [(2, 4), (3, 6)] {
+        let tenants: Vec<TenantSpec> = zoo_tenants[..count]
+            .iter()
+            .map(|(name, graph)| TenantSpec::new(*name, graph.clone(), Precision::Fix16))
+            .collect();
+        for streaming in [StreamingMode::Off, StreamingMode::Auto] {
+            for fusion in [FusionMode::Off, FusionMode::Auto] {
+                let options = LcmmOptions::default()
+                    .with_weight_streaming(streaming)
+                    .with_fusion(fusion);
+                let opts = CoplanOptions::default().with_options(options);
+                let shared = Harness::new(1);
+                let grid = share_grid(count, steps);
+                for shares in &grid {
+                    let label = format!("{count} tenants, {streaming:?}, {fusion:?}, {shares:?}");
+                    let fresh = Harness::new(1);
+                    match (
+                        plan_with_shares(&shared, &device, &tenants, shares, &opts),
+                        plan_with_shares(&fresh, &device, &tenants, shares, &opts),
+                    ) {
+                        (Ok((a, point_a)), Ok((b, point_b))) => {
+                            assert_eq!(point_a, point_b, "{label}");
+                            assert_eq!(summary(&a), summary(&b), "{label}");
+                        }
+                        (Err(a), Err(b)) => assert_eq!(a, b, "{label}"),
+                        (a, b) => panic!("{label}: shared {:?} vs fresh {:?}", a.err(), b.err()),
+                    }
+                }
+                // With 3 tenants, slice sizes recur across grid points,
+                // so the shared harness really did reuse artifact sets.
+                let built = shared.cache_stats().artifact_misses;
+                assert!(
+                    count == 2 || built < count * grid.len(),
+                    "{built} sets built"
+                );
+            }
+        }
+    }
 }
