@@ -169,8 +169,8 @@ cargo test --offline -q -p lcmm-serve --test protocol_compat
 # Serve smoke gate: boot the daemon on an ephemeral port, issue five
 # plan requests through the one-shot client, and diff the responses
 # against checks/golden/ (plan payloads are deterministic by design —
-# see docs/SERVE.md). A duplicate of the first request must then be a
-# byte-stable cache hit.
+# see docs/SERVE.md). A second round of the same requests must then be
+# byte-stable cache hits.
 echo "==> serve smoke: daemon + requests vs checks/golden"
 rm -f /tmp/ci_serve.out
 "$bin" serve --listen 127.0.0.1:0 --workers 2 --debug-hooks >/tmp/ci_serve.out 2>/dev/null &
@@ -214,12 +214,21 @@ for req in "${serve_reqs[@]}"; do
     exit 1
   fi
 done
-"$bin" request --connect "$addr" "${serve_reqs[0]}" >/tmp/ci_serve_dup.out
-if ! grep -q '"cached":true' /tmp/ci_serve_dup.out; then
-  echo "FAIL: duplicate serve request was not answered from the plan cache" >&2
-  kill "$serve_pid" 2>/dev/null || true
-  exit 1
-fi
+# Every request again: each must now be a plan-cache hit whose reply is
+# its golden with only the flag changed to "cached":true (hits splice
+# the stored plan bytes into the reply).
+i=0
+for req in "${serve_reqs[@]}"; do
+  i=$((i + 1))
+  "$bin" request --connect "$addr" "$req" >/tmp/ci_serve_dup.out
+  sed 's/^{"cached":false,/{"cached":true,/' "checks/golden/serve_$i.json" >/tmp/ci_serve_hit.json
+  if ! cmp -s /tmp/ci_serve_dup.out /tmp/ci_serve_hit.json; then
+    echo "FAIL: repeated serve request $i is not checks/golden/serve_$i.json as a cache hit" >&2
+    diff /tmp/ci_serve_hit.json /tmp/ci_serve_dup.out >&2 || true
+    kill "$serve_pid" 2>/dev/null || true
+    exit 1
+  fi
+done
 
 # Registry invalidation gate: a cached co-plan must be recomputed once
 # the tenant set changes.

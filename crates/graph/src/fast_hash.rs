@@ -74,6 +74,59 @@ impl Hasher for FxHasher {
     }
 }
 
+/// Two FNV-1a lanes with independent offsets over one byte stream, plus
+/// its length: the content digest behind the serve daemon's cache keys.
+/// Unlike [`FxHasher`] it is a stable, documented construction, so
+/// digests written to disk stay valid across builds.
+///
+/// The state is `Copy`: a digest over a long shared prefix (a graph's
+/// JSON, memoized in its [`crate::Fingerprint`]) continues from a copy
+/// of the prefix's state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FnvLanes {
+    a: u64,
+    b: u64,
+    len: usize,
+}
+
+impl FnvLanes {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    /// The state over the empty stream.
+    #[must_use]
+    pub const fn new() -> Self {
+        Self {
+            a: 0xcbf2_9ce4_8422_2325,
+            b: 0x6c62_272e_07bb_0142,
+            len: 0,
+        }
+    }
+
+    /// Feeds `bytes` to both lanes.
+    pub fn write(&mut self, bytes: &[u8]) {
+        let (mut a, mut b) = (self.a, self.b);
+        for &byte in bytes {
+            a = (a ^ u64::from(byte)).wrapping_mul(Self::PRIME);
+            b = (b ^ u64::from(byte)).wrapping_mul(Self::PRIME);
+        }
+        (self.a, self.b) = (a, b);
+        self.len += bytes.len();
+    }
+
+    /// The digest: both lanes in hex, then the stream length
+    /// (`<16 hex><16 hex>:<len>`).
+    #[must_use]
+    pub fn digest(&self) -> String {
+        format!("{:016x}{:016x}:{}", self.a, self.b, self.len)
+    }
+}
+
+impl Default for FnvLanes {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// A `HashMap` keyed through [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
@@ -103,6 +156,23 @@ mod tests {
         };
         assert_eq!(once(b"lcmm"), once(b"lcmm"));
         assert_ne!(once(b"lcmm"), once(b"lcm"));
+    }
+
+    #[test]
+    fn fnv_lanes_continue_across_writes() {
+        let mut whole = FnvLanes::new();
+        whole.write(b"graph\x01device");
+        let mut split = FnvLanes::new();
+        split.write(b"graph");
+        let prefix = split;
+        split.write(b"\x01device");
+        assert_eq!(split, whole);
+        assert_ne!(prefix, whole);
+        assert_eq!(
+            FnvLanes::new().digest(),
+            "cbf29ce4842223256c62272e07bb0142:0"
+        );
+        assert!(whole.digest().ends_with(":12"), "{}", whole.digest());
     }
 
     #[test]

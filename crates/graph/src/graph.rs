@@ -1,5 +1,6 @@
 //! The computation graph: nodes, edges, topological order, accounting.
 
+use crate::fast_hash::FnvLanes;
 use crate::op::{FcParams, OpKind};
 use crate::tensor::FeatureShape;
 use crate::GraphError;
@@ -97,12 +98,16 @@ impl Node {
 /// Construct one with [`crate::GraphBuilder`] or decode one from JSON;
 /// both paths validate the structure (dense ids, in-range edges,
 /// acyclicity), so every `Graph` in existence is well-formed.
+///
+/// The name, nodes and consumer lists sit behind shared `Arc`s: a clone
+/// (every `zoo::by_name` call returns one) bumps four reference counts
+/// instead of copying the graph.
 #[derive(Clone)]
 pub struct Graph {
-    name: String,
-    nodes: Vec<Node>,
+    name: Arc<str>,
+    nodes: Arc<[Node]>,
     /// consumers[i] = ids of nodes that read node i's output.
-    consumers: Vec<Vec<NodeId>>,
+    consumers: Arc<[Vec<NodeId>]>,
     output: NodeId,
     /// Memo of [`Graph::fingerprint`], shared by every clone. Not part
     /// of the graph's value: never serialized or printed. `Graph` has no
@@ -116,10 +121,15 @@ pub struct Graph {
 /// equality and ordering compare the full text (a shared `Arc` short-
 /// cuts equality), so a key built from it is exactly as precise as one
 /// holding a private copy of the JSON.
+///
+/// It also keeps the [`FnvLanes`] state after the text, so a digest of
+/// the text followed by other parts continues from there instead of
+/// hashing the text again.
 #[derive(Clone)]
 pub struct Fingerprint {
     text: Arc<str>,
     hash: u64,
+    lanes: FnvLanes,
 }
 
 impl Fingerprint {
@@ -129,9 +139,12 @@ impl Fingerprint {
         // the serve wire), so colliding stored hashes must not be
         // craftable.
         static KEYS: OnceLock<RandomState> = OnceLock::new();
+        let mut lanes = FnvLanes::new();
+        lanes.write(text.as_bytes());
         Self {
             hash: KEYS.get_or_init(RandomState::new).hash_one(text.as_str()),
             text: text.into(),
+            lanes,
         }
     }
 
@@ -139,6 +152,12 @@ impl Fingerprint {
     #[must_use]
     pub fn as_str(&self) -> &str {
         &self.text
+    }
+
+    /// The [`FnvLanes`] state after hashing [`Fingerprint::as_str`].
+    #[must_use]
+    pub fn lanes(&self) -> FnvLanes {
+        self.lanes
     }
 }
 
@@ -201,9 +220,9 @@ impl Graph {
             return Err(GraphError::UnknownNode(output.0));
         }
         let graph = Self {
-            name,
-            nodes,
-            consumers,
+            name: name.into(),
+            nodes: nodes.into(),
+            consumers: consumers.into(),
             output,
             fingerprint: Arc::default(),
         };
@@ -434,7 +453,7 @@ impl Graph {
     #[must_use]
     pub fn blocks(&self) -> Vec<&str> {
         let mut out: Vec<&str> = Vec::new();
-        for n in &self.nodes {
+        for n in self.nodes.iter() {
             if let Some(b) = n.block.as_deref() {
                 if !out.contains(&b) {
                     out.push(b);
@@ -489,7 +508,7 @@ impl fmt::Debug for Graph {
 impl fmt::Display for Graph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "graph {} ({} nodes)", self.name, self.nodes.len())?;
-        for n in &self.nodes {
+        for n in self.nodes.iter() {
             let ins: Vec<String> = n.inputs.iter().map(|i| i.to_string()).collect();
             writeln!(
                 f,
@@ -619,6 +638,24 @@ mod tests {
         // A separately built equal graph has its own memo.
         assert!(!std::ptr::eq(fp, diamond().fingerprint()));
         assert_eq!(fp, diamond().fingerprint());
+    }
+
+    #[test]
+    fn clones_share_nodes_and_consumer_lists() {
+        let g = crate::zoo::by_name("resnet50").expect("zoo net");
+        let again = crate::zoo::by_name("resnet50").expect("zoo net");
+        let first = NodeId(0);
+        assert!(std::ptr::eq(g.node(first), again.node(first)));
+        assert!(std::ptr::eq(g.consumers(first), again.consumers(first)));
+        assert!(std::ptr::eq(g.name(), again.name()));
+    }
+
+    #[test]
+    fn fingerprint_lanes_are_the_lanes_over_its_text() {
+        let g = diamond();
+        let mut lanes = FnvLanes::new();
+        lanes.write(g.fingerprint().as_bytes());
+        assert_eq!(g.fingerprint_key().lanes(), lanes);
     }
 
     #[test]

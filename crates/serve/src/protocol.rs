@@ -804,83 +804,132 @@ impl WireResponse {
     /// clients (which never send `v`) keep byte-identical responses.
     #[must_use]
     pub fn to_line_v(&self, v: Option<u64>) -> String {
-        let mut fields: Vec<(String, Value)> = Vec::new();
-        let id = match self {
-            WireResponse::Plan { id, .. }
-            | WireResponse::Stats { id, .. }
-            | WireResponse::Registry { id, .. }
-            | WireResponse::Pong { id }
-            | WireResponse::Shutdown { id }
-            | WireResponse::Error { id, .. } => *id,
-        };
+        let mut line = Envelope::new();
         match self {
             WireResponse::Plan {
+                id,
                 plan,
                 cached,
                 pass_stats,
-                ..
             } => {
-                fields.push(("cached".to_string(), Value::Bool(*cached)));
-                if let Some(id) = id {
-                    fields.push(("id".to_string(), Value::U64(id)));
-                }
-                fields.push(("ok".to_string(), Value::Bool(true)));
-                if let Some(stats) = pass_stats {
-                    fields.push(("pass_stats".to_string(), stats.clone()));
-                }
-                fields.push(("plan".to_string(), plan.clone()));
+                return plan_line(*id, Payload::Tree(plan), *cached, pass_stats.as_ref(), v);
             }
-            WireResponse::Stats { stats, .. } => {
-                if let Some(id) = id {
-                    fields.push(("id".to_string(), Value::U64(id)));
-                }
-                fields.push(("ok".to_string(), Value::Bool(true)));
-                fields.push(("stats".to_string(), stats.clone()));
+            WireResponse::Stats { id, stats } => {
+                line.id(*id);
+                line.value("ok", &Value::Bool(true));
+                line.value("stats", stats);
             }
             WireResponse::Registry {
+                id,
                 action,
                 model,
                 models,
-                ..
             } => {
-                fields.push(("action".to_string(), Value::Str(action.clone())));
-                if let Some(id) = id {
-                    fields.push(("id".to_string(), Value::U64(id)));
-                }
-                fields.push(("model".to_string(), Value::Str(model.clone())));
-                fields.push(("models".to_string(), Value::U64(*models)));
-                fields.push(("ok".to_string(), Value::Bool(true)));
+                line.value("action", &Value::Str(action.clone()));
+                line.id(*id);
+                line.value("model", &Value::Str(model.clone()));
+                line.value("models", &Value::U64(*models));
+                line.value("ok", &Value::Bool(true));
             }
-            WireResponse::Pong { .. } => {
-                if let Some(id) = id {
-                    fields.push(("id".to_string(), Value::U64(id)));
-                }
-                fields.push(("ok".to_string(), Value::Bool(true)));
-                fields.push(("pong".to_string(), Value::Bool(true)));
+            WireResponse::Pong { id } => {
+                line.id(*id);
+                line.value("ok", &Value::Bool(true));
+                line.value("pong", &Value::Bool(true));
             }
-            WireResponse::Shutdown { .. } => {
-                if let Some(id) = id {
-                    fields.push(("id".to_string(), Value::U64(id)));
-                }
-                fields.push(("ok".to_string(), Value::Bool(true)));
-                fields.push(("shutdown".to_string(), Value::Bool(true)));
+            WireResponse::Shutdown { id } => {
+                line.id(*id);
+                line.value("ok", &Value::Bool(true));
+                line.value("shutdown", &Value::Bool(true));
             }
-            WireResponse::Error { code, message, .. } => {
+            WireResponse::Error { id, code, message } => {
                 let error = Value::Map(vec![
                     ("code".to_string(), Value::Str(code.clone())),
                     ("message".to_string(), Value::Str(message.clone())),
                 ]);
-                fields.push(("error".to_string(), error));
-                if let Some(id) = id {
-                    fields.push(("id".to_string(), Value::U64(id)));
-                }
-                fields.push(("ok".to_string(), Value::Bool(false)));
+                line.value("error", &error);
+                line.id(*id);
+                line.value("ok", &Value::Bool(false));
             }
         }
-        if let Some(v) = v {
-            fields.push(("v".to_string(), Value::U64(v)));
+        line.finish(v)
+    }
+}
+
+/// The `plan` payload of a plan response.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Payload<'a> {
+    /// A tree, rendered compact into the line.
+    Tree(&'a Value),
+    /// Compact JSON already rendered (a stored plan), spliced in as is.
+    /// Rendering the tree it parses to gives the same bytes, so both
+    /// forms of one payload make the same line.
+    Json(&'a str),
+}
+
+/// The one writer of plan response lines, for computed plans and cache
+/// hits alike: `cached`, `id`, `ok`, `pass_stats`, `plan`, then `v`.
+pub(crate) fn plan_line(
+    id: Option<u64>,
+    plan: Payload<'_>,
+    cached: bool,
+    pass_stats: Option<&Value>,
+    v: Option<u64>,
+) -> String {
+    let mut line = Envelope::new();
+    line.value("cached", &Value::Bool(cached));
+    line.id(id);
+    line.value("ok", &Value::Bool(true));
+    if let Some(stats) = pass_stats {
+        line.value("pass_stats", stats);
+    }
+    match plan {
+        Payload::Tree(plan) => line.value("plan", plan),
+        Payload::Json(json) => line.key("plan").push_str(json),
+    }
+    line.finish(v)
+}
+
+/// A response line under construction: a compact JSON object written
+/// field by field, in the order the fields are added. Every caller adds
+/// them in sorted key order, and keys are plain identifiers that need
+/// no escaping, so the line equals `serde_json::to_string` of the same
+/// map.
+struct Envelope(String);
+
+impl Envelope {
+    fn new() -> Self {
+        Self(String::from("{"))
+    }
+
+    /// Starts field `key` and returns the buffer its value goes into.
+    fn key(&mut self, key: &str) -> &mut String {
+        if self.0.len() > 1 {
+            self.0.push(',');
         }
-        serde_json::to_string(&Value::Map(fields)).expect("response serialises")
+        self.0.push('"');
+        self.0.push_str(key);
+        self.0.push_str("\":");
+        &mut self.0
+    }
+
+    fn value(&mut self, key: &str, value: &Value) {
+        serde::content::write_compact_into(self.key(key), value);
+    }
+
+    /// The echoed request id, when there is one.
+    fn id(&mut self, id: Option<u64>) {
+        if let Some(id) = id {
+            self.value("id", &Value::U64(id));
+        }
+    }
+
+    /// Appends the version echo, when there is one, and closes the line.
+    fn finish(mut self, v: Option<u64>) -> String {
+        if let Some(v) = v {
+            self.value("v", &Value::U64(v));
+        }
+        self.0.push('}');
+        self.0
     }
 }
 

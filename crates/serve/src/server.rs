@@ -34,6 +34,7 @@ use std::time::{Duration, Instant};
 
 use lcmm_core::{CancelToken, Harness, LcmmError, PassStats};
 use lcmm_fpga::{Device, Precision};
+use lcmm_graph::fast_hash::FnvLanes;
 use lcmm_graph::Graph;
 use lcmm_multi::{coplan, coplan_summary, CoplanOptions, TenantSpec};
 use lcmm_workload::histogram::LatencyHistogram;
@@ -43,8 +44,8 @@ use serde_json::Value;
 use crate::cache::PlanCache;
 use crate::lock_safe;
 use crate::protocol::{
-    pass_stats_value, plan_summary, precision_name, GraphSpec, Op, ResolvedPlan, WireRequest,
-    WireResponse,
+    pass_stats_value, plan_line, plan_summary, precision_name, GraphSpec, Op, Payload,
+    ResolvedPlan, WireRequest, WireResponse,
 };
 use crate::wal::{FsyncPolicy, Wal, WalRecord};
 
@@ -265,7 +266,7 @@ struct Registered {
 
 /// Digest of a graph's canonical JSON fingerprint.
 fn graph_digest(graph: &Graph) -> String {
-    digest(graph.fingerprint())
+    graph.fingerprint_key().lanes().digest()
 }
 
 /// The invalidation tag carried by every cached co-plan that inlined
@@ -991,8 +992,20 @@ fn apply_replayed(inner: &Inner, record: WalRecord) {
                 inner.cache.replay_invalidate_tag(&model_tag(&model));
             }
         }
-        WalRecord::PlanPut { key, value, tags } => inner.cache.replay_put(key, value, tags),
+        WalRecord::PlanPut { key, value, tags } => {
+            inner.cache.replay_put(key, replayed_value(value), tags);
+        }
     }
+}
+
+/// A replayed plan value in the form cache hits splice into replies:
+/// compact JSON, parsed and re-rendered once here rather than on every
+/// hit. A value that is not JSON (a log written by hand or by another
+/// version) is kept as its JSON string literal, so a hit answers it as
+/// a string, as it always has.
+fn replayed_value(value: String) -> String {
+    let plan = serde_json::from_str::<Value>(&value).unwrap_or(Value::Str(value));
+    serde_json::to_string(&plan).expect("JSON values serialise")
 }
 
 /// Adds a fresh worker to the pool and spawns its thread.
@@ -1140,42 +1153,28 @@ fn watcher_loop(inner: &Arc<Inner>, budget: Duration) {
 const COPLAN_KEY_PREFIX: &str = "coplan:";
 
 /// Digest of a canonical fingerprint string. Two hex-encoded FNV-1a
-/// passes with independent offsets make accidental collisions (~2⁻¹²⁸)
-/// a non-concern while keeping keys small even for inline
-/// thousand-node graphs.
+/// passes with independent offsets ([`FnvLanes`]) make accidental
+/// collisions (~2⁻¹²⁸) a non-concern while keeping keys small even for
+/// inline thousand-node graphs.
 fn digest(fingerprint: &str) -> String {
-    digest_parts(&[fingerprint])
-}
-
-/// [`digest`] of the concatenation of `parts`, without building it: the
-/// graph part of a plan key is up to tens of KB of JSON, and every plan
-/// request computes its key. Both FNV passes run in one sweep.
-fn digest_parts(parts: &[&str]) -> String {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let (mut a, mut b) = (0xcbf2_9ce4_8422_2325_u64, 0x6c62_272e_07bb_0142_u64);
-    for byte in parts.iter().flat_map(|part| part.bytes()) {
-        a = (a ^ u64::from(byte)).wrapping_mul(PRIME);
-        b = (b ^ u64::from(byte)).wrapping_mul(PRIME);
-    }
-    let len: usize = parts.iter().map(|part| part.len()).sum();
-    format!("{a:016x}{b:016x}:{len}")
+    let mut lanes = FnvLanes::new();
+    lanes.write(fingerprint.as_bytes());
+    lanes.digest()
 }
 
 /// Cache key of a single-model plan: digest of the canonical JSON
-/// fingerprint of the resolved request.
+/// fingerprint of the resolved request. The graph's JSON, up to tens of
+/// KB, comes first, so the digest continues from the lanes memoized
+/// beside the graph's fingerprint and hashes only the small parts.
 fn cache_key(resolved: &ResolvedPlan) -> String {
     let device = serde_json::to_string(&resolved.device).unwrap_or_default();
     let precision = serde_json::to_string(&resolved.precision).unwrap_or_default();
     let options = serde_json::to_string(&resolved.options).unwrap_or_default();
-    digest_parts(&[
-        resolved.graph.fingerprint(),
-        "\u{1}",
-        &device,
-        "\u{1}",
-        &precision,
-        "\u{1}",
-        &options,
-    ])
+    let mut lanes = resolved.graph.fingerprint_key().lanes();
+    for part in ["\u{1}", &device, "\u{1}", &precision, "\u{1}", &options] {
+        lanes.write(part.as_bytes());
+    }
+    lanes.digest()
 }
 
 /// Cache key of a co-plan: covers the *full tenant set* — every
@@ -1252,18 +1251,8 @@ fn process_plan(inner: &Arc<Inner>, job: &Job) -> String {
     }
     let key = cache_key(&resolved);
     if let Some(stored) = inner.cache.get(&key) {
-        let plan = match serde_json::from_str::<Value>(&stored) {
-            Ok(plan) => plan,
-            Err(_) => Value::Str(stored),
-        };
         inner.plans_completed.fetch_add(1, Ordering::Relaxed);
-        return WireResponse::Plan {
-            id: request.id,
-            plan,
-            cached: true,
-            pass_stats: None,
-        }
-        .to_line_v(request.v);
+        return plan_line(request.id, Payload::Json(&stored), true, None, request.v);
     }
     let design =
         match inner
@@ -1301,22 +1290,31 @@ fn process_plan(inner: &Arc<Inner>, job: &Job) -> String {
     record_pass_stats(inner, &result.stats, front_end);
     let plan = plan_summary(&resolved, &result, &umm);
     let stored = serde_json::to_string(&plan).expect("plan summary serialises");
+    let pass_stats = request
+        .include_stats
+        .then(|| pass_stats_value(&result.stats));
+    let line = plan_line(
+        request.id,
+        Payload::Json(&stored),
+        false,
+        pass_stats.as_ref(),
+        request.v,
+    );
+    store(inner, key, stored, Vec::new());
+    inner.plans_completed.fetch_add(1, Ordering::Relaxed);
+    line
+}
+
+/// Caches a rendered payload under `key` and logs the put.
+fn store(inner: &Inner, key: String, stored: String, tags: Vec<String>) {
     let record = WalRecord::PlanPut {
         key: key.clone(),
         value: stored.clone(),
-        tags: Vec::new(),
+        tags: tags.clone(),
     };
-    durably(inner, || (inner.cache.put(key, stored), Some(record)));
-    inner.plans_completed.fetch_add(1, Ordering::Relaxed);
-    WireResponse::Plan {
-        id: request.id,
-        plan,
-        cached: false,
-        pass_stats: request
-            .include_stats
-            .then(|| pass_stats_value(&result.stats)),
-    }
-    .to_line_v(request.v)
+    durably(inner, || {
+        (inner.cache.put_tagged(key, stored, tags), Some(record))
+    });
 }
 
 /// Executes one `debug:` fault-injection hook (only reachable when
@@ -1423,27 +1421,24 @@ fn process_coplan(inner: &Arc<Inner>, job: &Job) -> String {
     let opts = CoplanOptions::default().with_options(options);
     let key = coplan_cache_key(&registry, &device, &opts);
     if let Some(stored) = inner.cache.get(&key) {
-        let full: Value = match serde_json::from_str(&stored) {
-            Ok(full) => full,
-            Err(_) => Value::Str(stored),
-        };
-        let plan = match &route_model {
-            Some(m) => match tenant_slice(&full, m) {
-                Some(slice) => slice,
-                None => {
-                    return answer_err(&LcmmError::UnknownModel(m.clone()));
+        let line = match &route_model {
+            // A route answers one tenant's slice, so it reads the stored
+            // summary; a co-plan splices it whole.
+            Some(m) => {
+                let slice = serde_json::from_str::<Value>(&stored)
+                    .ok()
+                    .and_then(|full| tenant_slice(&full, m));
+                match slice {
+                    Some(slice) => {
+                        plan_line(request.id, Payload::Tree(&slice), true, None, request.v)
+                    }
+                    None => return answer_err(&LcmmError::UnknownModel(m.clone())),
                 }
-            },
-            None => full,
+            }
+            None => plan_line(request.id, Payload::Json(&stored), true, None, request.v),
         };
         inner.plans_completed.fetch_add(1, Ordering::Relaxed);
-        return WireResponse::Plan {
-            id: request.id,
-            plan,
-            cached: true,
-            pass_stats: None,
-        }
-        .to_line_v(request.v);
+        return line;
     }
     if let Err(err) = job.cancel.check() {
         return answer_err(&err);
@@ -1465,27 +1460,17 @@ fn process_coplan(inner: &Arc<Inner>, job: &Job) -> String {
     };
     let summary = coplan_summary(&plan);
     let stored = serde_json::to_string(&summary).expect("co-plan summary serialises");
+    let line = match &route_model {
+        Some(m) => {
+            let slice = tenant_slice(&summary, m).expect("routed model is a tenant");
+            plan_line(request.id, Payload::Tree(&slice), false, None, request.v)
+        }
+        None => plan_line(request.id, Payload::Json(&stored), false, None, request.v),
+    };
     let tags: Vec<String> = registry.iter().map(|(name, _)| model_tag(name)).collect();
-    let record = WalRecord::PlanPut {
-        key: key.clone(),
-        value: stored.clone(),
-        tags: tags.clone(),
-    };
-    durably(inner, || {
-        (inner.cache.put_tagged(key, stored, tags), Some(record))
-    });
+    store(inner, key, stored, tags);
     inner.plans_completed.fetch_add(1, Ordering::Relaxed);
-    let payload = match &route_model {
-        Some(m) => tenant_slice(&summary, m).expect("routed model is a tenant"),
-        None => summary,
-    };
-    WireResponse::Plan {
-        id: request.id,
-        plan: payload,
-        cached: false,
-        pass_stats: None,
-    }
-    .to_line_v(request.v)
+    line
 }
 
 /// Key prefix of cached workload reports.
@@ -1547,18 +1532,8 @@ fn process_workload(inner: &Arc<Inner>, job: &Job) -> String {
         format!("{WORKLOAD_KEY_PREFIX}{}", digest(&fingerprint))
     });
     if let Some(stored) = key.as_ref().and_then(|k| inner.cache.get(k)) {
-        let plan = match serde_json::from_str::<Value>(&stored) {
-            Ok(plan) => plan,
-            Err(_) => Value::Str(stored),
-        };
         inner.plans_completed.fetch_add(1, Ordering::Relaxed);
-        return WireResponse::Plan {
-            id: request.id,
-            plan,
-            cached: true,
-            pass_stats: None,
-        }
-        .to_line_v(request.v);
+        return plan_line(request.id, Payload::Json(&stored), true, None, request.v);
     }
     if let Err(err) = job.cancel.check() {
         return answer_err(&err);
@@ -1574,23 +1549,13 @@ fn process_workload(inner: &Arc<Inner>, job: &Job) -> String {
         Ok(report) => report,
         Err(err) => return answer_err(&err),
     };
+    let stored = serde_json::to_string(&report).expect("workload report serialises");
+    let line = plan_line(request.id, Payload::Json(&stored), false, None, request.v);
     if let Some(key) = key {
-        let stored = serde_json::to_string(&report).expect("workload report serialises");
-        let record = WalRecord::PlanPut {
-            key: key.clone(),
-            value: stored.clone(),
-            tags: Vec::new(),
-        };
-        durably(inner, || (inner.cache.put(key, stored), Some(record)));
+        store(inner, key, stored, Vec::new());
     }
     inner.plans_completed.fetch_add(1, Ordering::Relaxed);
-    WireResponse::Plan {
-        id: request.id,
-        plan: report,
-        cached: false,
-        pass_stats: None,
-    }
-    .to_line_v(request.v)
+    line
 }
 
 /// Folds one computed plan's pass timings into the `/stats` histograms.

@@ -23,6 +23,12 @@
 //! it has unsent bytes, and then only for writing, so an idle or
 //! hung-up peer never makes `poll` return.
 //!
+//! An accept that fails for a reason other than "nothing pending" (say
+//! `EMFILE`: out of descriptors) leaves the connection in the backlog
+//! and the listener readable, so the loop takes the listener out of the
+//! poll set until a connection closes or `ACCEPT_RETRY` passes, rather
+//! than spin on it.
+//!
 //! All loops end the same way: a `{"op":"shutdown"}` request (or input
 //! EOF on stdio) flips the server into draining mode, in-flight work
 //! finishes and is flushed to its clients, workers join, and the
@@ -37,6 +43,7 @@ use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use crate::server::{Server, ServerConfig};
 
@@ -54,6 +61,11 @@ const HARD_WRITE_CAP: usize = 8 << 20;
 /// Longest accepted request line; protects the per-connection read
 /// buffer from a peer that never sends a newline.
 const MAX_LINE: usize = 8 << 20;
+
+/// How long a listener whose accept failed stays out of the poll set
+/// when no connection closes first (a closed connection frees a
+/// descriptor, so it ends the wait early).
+const ACCEPT_RETRY: Duration = Duration::from_millis(100);
 
 /// Serves JSON-lines over stdin/stdout until EOF or a shutdown request.
 /// Requests are answered in input order.
@@ -172,6 +184,9 @@ struct Connection {
     stream: Box<dyn Stream>,
     /// Bytes received but not yet terminated by `\n`.
     read_buf: Vec<u8>,
+    /// Leading bytes of `read_buf` already searched for a `\n`, so a
+    /// long line arriving in many reads is scanned once.
+    scanned: usize,
     /// Response bytes accepted from the server but not yet written.
     write_buf: Vec<u8>,
     /// Sequence number assigned to the next request read off this
@@ -194,6 +209,7 @@ impl Connection {
         Self {
             stream,
             read_buf: Vec::new(),
+            scanned: 0,
             write_buf: Vec::new(),
             next_seq: 0,
             next_send: 0,
@@ -333,12 +349,33 @@ fn event_loop(server: &Server, listener: &dyn Listener) -> io::Result<()> {
     let mut next_conn_id: u64 = 0;
     let mut scratch = [0u8; 64 * 1024];
     let mut poll_set = Vec::new();
+    // When the last accept failed: the listener sits out of `poll`
+    // until a connection closes or `ACCEPT_RETRY` has passed.
+    let mut accept_failed: Option<Instant> = None;
     loop {
-        // 1. Admit new connections (unless draining).
-        if !server.is_shutting_down() {
-            while let Ok(stream) = listener.accept_stream() {
-                conns.insert(next_conn_id, Connection::new(stream));
-                next_conn_id += 1;
+        // 1. Admit new connections (unless draining or backing off).
+        if accept_failed.is_some_and(|at| at.elapsed() >= ACCEPT_RETRY) {
+            accept_failed = None;
+        }
+        if !server.is_shutting_down() && accept_failed.is_none() {
+            loop {
+                match listener.accept_stream() {
+                    Ok(stream) => {
+                        conns.insert(next_conn_id, Connection::new(stream));
+                        next_conn_id += 1;
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    // Only that one connection is gone; others may wait.
+                    Err(e)
+                        if matches!(
+                            e.kind(),
+                            io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
+                        ) => {}
+                    Err(_) => {
+                        accept_failed = Some(Instant::now());
+                        break;
+                    }
+                }
             }
         }
         // 2. Collect completed responses. Completions for connections
@@ -396,9 +433,16 @@ fn event_loop(server: &Server, listener: &dyn Listener) -> io::Result<()> {
             // Split complete lines out of the read buffer and hand them
             // to the server; responses come back through the channel in
             // whatever order they finish and are re-sequenced above.
-            while let Some(pos) = conn.read_buf.iter().position(|&b| b == b'\n') {
-                let raw: Vec<u8> = conn.read_buf.drain(..=pos).collect();
-                let line = String::from_utf8_lossy(&raw[..pos]).into_owned();
+            // Consumed lines leave the buffer in one drain at the end.
+            let mut start = 0;
+            while let Some(len) = conn.read_buf[conn.scanned..]
+                .iter()
+                .position(|&b| b == b'\n')
+            {
+                let end = conn.scanned + len;
+                conn.scanned = end + 1;
+                let line = String::from_utf8_lossy(&conn.read_buf[start..end]);
+                start = end + 1;
                 if line.trim().is_empty() {
                     continue;
                 }
@@ -410,22 +454,30 @@ fn event_loop(server: &Server, listener: &dyn Listener) -> io::Result<()> {
                     Box::new(move |response| completions.deliver((conn_id, seq, response))),
                 );
             }
+            conn.read_buf.drain(..start);
+            conn.scanned = conn.read_buf.len();
         }
         // 4. Reap: dead connections immediately, half-closed ones once
-        // every owed response has been flushed.
+        // every owed response has been flushed. A closed connection
+        // frees a descriptor, so a failed accept is worth retrying.
+        let open = conns.len();
         conns.retain(|_, conn| !(conn.dead || conn.read_closed && conn.drained()));
+        if conns.len() < open {
+            accept_failed = None;
+        }
         // 5. Exit once draining is complete.
         if server.is_shutting_down() && conns.values().all(Connection::drained) {
             return Ok(());
         }
         // 6. Sleep until the wake socket, the listener (unless
-        // draining) or a connection with an interest is ready.
+        // draining or backing off) or a connection with an interest is
+        // ready, or until a failed accept is due for a retry.
         poll_set.clear();
         poll_set.push(sys::PollFd::new(
             completions.wake_rx.as_raw_fd(),
             sys::POLLIN,
         ));
-        if !server.is_shutting_down() {
+        if !server.is_shutting_down() && accept_failed.is_none() {
             poll_set.push(sys::PollFd::new(listener.as_raw_fd(), sys::POLLIN));
         }
         for conn in conns.values() {
@@ -434,7 +486,8 @@ fn event_loop(server: &Server, listener: &dyn Listener) -> io::Result<()> {
                 poll_set.push(sys::PollFd::new(conn.stream.as_raw_fd(), events));
             }
         }
-        sys::wait(&mut poll_set)?;
+        let timeout = accept_failed.map(|at| ACCEPT_RETRY.saturating_sub(at.elapsed()));
+        sys::wait(&mut poll_set, timeout)?;
         completions.drain_wakes();
     }
 }
@@ -445,6 +498,7 @@ mod sys {
     use std::io;
     use std::os::raw::{c_int, c_short};
     use std::os::unix::io::RawFd;
+    use std::time::Duration;
 
     /// The C `nfds_t`.
     #[cfg(any(target_os = "linux", target_os = "android"))]
@@ -483,17 +537,21 @@ mod sys {
     }
 
     /// Blocks until one of `fds` is ready or reports an error or
-    /// hang-up, with no timeout; `EINTR` retries.
-    pub(super) fn wait(fds: &mut [PollFd]) -> io::Result<()> {
+    /// hang-up, or until `timeout` (rounded up to whole milliseconds)
+    /// passes; `None` waits without a timeout. `EINTR` retries.
+    pub(super) fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<()> {
         let nfds = Nfds::try_from(fds.len())
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "poll set too large"))?;
+        let timeout = timeout.map_or(-1, |t| {
+            c_int::try_from(t.as_micros().div_ceil(1000)).unwrap_or(c_int::MAX)
+        });
         loop {
             // SAFETY: `fds` is an exclusively borrowed slice of
             // `#[repr(C)]` `struct pollfd` values and `nfds` is its
             // length, so the kernel reads and writes only inside it and
             // only during the call. A descriptor that is not open is
             // reported as `POLLNVAL`, not undefined behaviour.
-            if unsafe { poll(fds.as_mut_ptr(), nfds, -1) } >= 0 {
+            if unsafe { poll(fds.as_mut_ptr(), nfds, timeout) } >= 0 {
                 return Ok(());
             }
             let err = io::Error::last_os_error();
@@ -501,5 +559,77 @@ mod sys {
                 return Err(err);
             }
         }
+    }
+}
+
+#[cfg(all(test, target_os = "linux"))]
+mod tests {
+    use super::*;
+    use std::os::unix::io::RawFd;
+
+    /// A real, bound listener whose accepts fail as they do once the
+    /// process is out of descriptors: its pending connections stay in
+    /// the backlog, so the socket stays readable.
+    struct OutOfDescriptors(TcpListener);
+
+    impl AsRawFd for OutOfDescriptors {
+        fn as_raw_fd(&self) -> RawFd {
+            self.0.as_raw_fd()
+        }
+    }
+
+    impl Listener for OutOfDescriptors {
+        fn accept_stream(&self) -> io::Result<Box<dyn Stream>> {
+            const EMFILE: i32 = 24;
+            Err(io::Error::from_raw_os_error(EMFILE))
+        }
+    }
+
+    /// CPU time (user + system) thread `tid` of this process has used so
+    /// far, from `/proc`, in 1/100 s ticks.
+    fn thread_cpu(tid: &str) -> Duration {
+        let stat = std::fs::read_to_string(format!("/proc/self/task/{tid}/stat")).expect("stat");
+        let fields: Vec<&str> = stat[stat.rfind(')').expect("comm") + 2..]
+            .split_whitespace()
+            .collect();
+        let ticks: u64 =
+            fields[11].parse::<u64>().expect("utime") + fields[12].parse::<u64>().expect("stime");
+        Duration::from_millis(ticks * 10)
+    }
+
+    #[test]
+    fn failing_accepts_neither_spin_the_loop_nor_stop_it() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.set_nonblocking(true).expect("non-blocking");
+        let addr = listener.local_addr().expect("local addr");
+        let server = Server::start(ServerConfig::default().with_workers(1));
+        let (tid_tx, tid_rx) = mpsc::channel();
+        let looping = {
+            let server = server.clone();
+            std::thread::spawn(move || {
+                let link = std::fs::read_link("/proc/thread-self").expect("thread-self");
+                let tid = link.file_name().expect("tid").to_string_lossy();
+                tid_tx.send(tid.into_owned()).expect("send tid");
+                event_loop(&server, &OutOfDescriptors(listener))
+            })
+        };
+        let tid = tid_rx.recv().expect("loop thread id");
+        // This connection waits in the backlog for good.
+        let _pending = TcpStream::connect(addr).expect("connect");
+        std::thread::sleep(Duration::from_millis(50));
+        let before = thread_cpu(&tid);
+        std::thread::sleep(Duration::from_millis(500));
+        let burnt = thread_cpu(&tid) - before;
+        assert!(
+            burnt < Duration::from_millis(100),
+            "the loop used {burnt:?} of CPU in 500 ms of failing accepts"
+        );
+        // Backing off, the loop still notices a shutdown at its next retry.
+        server.begin_shutdown();
+        looping
+            .join()
+            .expect("loop thread")
+            .expect("loop ends cleanly");
+        server.shutdown();
     }
 }

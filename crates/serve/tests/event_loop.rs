@@ -1,6 +1,7 @@
 //! Event-loop transport tests over real TCP sockets: ordered
 //! pipelining, half-close draining, mid-response disconnects under
-//! load, wake-up latency, and a clean shutdown handshake.
+//! load, wake-up latency, a long request line beside a ping, and a
+//! clean shutdown handshake.
 
 use lcmm_serve::{serve_tcp_listener, ServerConfig};
 use serde_json::Value;
@@ -172,6 +173,56 @@ fn back_to_back_pings_are_not_paced_by_a_clock() {
     assert!(
         elapsed < Duration::from_millis(250),
         "500 pings took {elapsed:?}"
+    );
+    stop(addr, handle);
+}
+
+#[test]
+fn a_megabyte_request_line_does_not_stall_other_connections() {
+    let (addr, handle) = boot(ServerConfig::default().with_workers(1));
+    // One 1 MiB JSON string. The loop parses every line it reads before
+    // it serves the next socket, so a reader that is not linear in the
+    // line holds every connection for as long as the parse takes.
+    let long = format!("{{\"graph\":\"{}\",\"id\":1}}\n", "x".repeat(1 << 20));
+    let mut sender = connect(addr);
+    let receiver = {
+        let conn = sender.try_clone().expect("clone");
+        std::thread::spawn(move || {
+            let mut reply = String::new();
+            BufReader::new(conn)
+                .read_line(&mut reply)
+                .expect("reply to the long line");
+            reply
+        })
+    };
+    let writer = std::thread::spawn(move || {
+        sender
+            .write_all(long.as_bytes())
+            .expect("send the long line");
+        sender
+    });
+    // Ping on a second connection until the long line is answered.
+    let conn = connect(addr);
+    let (mut pings, mut slowest) = (0, Duration::ZERO);
+    while pings < 10 || !receiver.is_finished() {
+        slowest = slowest.max(ping_round_trips(&conn, 1));
+        pings += 1;
+    }
+    let reply = receiver.join().expect("receiver thread");
+    drop(writer.join().expect("writer thread"));
+    assert!(
+        slowest < Duration::from_millis(100),
+        "a ping waited {slowest:?} behind the long line ({pings} pings)"
+    );
+    let v = parse(&reply);
+    assert_eq!(v.get("id").and_then(Value::as_u64), Some(1));
+    assert_eq!(
+        v.get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Value::as_str),
+        Some("unknown_model"),
+        "{}",
+        &reply[..reply.len().min(200)]
     );
     stop(addr, handle);
 }

@@ -4,9 +4,9 @@
 //! byte-identical registry/cache state and plan replies versus an
 //! uninterrupted run.
 
-use lcmm_serve::{Server, ServerConfig};
+use lcmm_serve::{FsyncPolicy, Server, ServerConfig, Wal, WalRecord};
 use serde_json::Value;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn parse(line: &str) -> Value {
     serde_json::from_str(line).unwrap_or_else(|e| panic!("non-JSON response {line:?}: {e}"))
@@ -155,5 +155,60 @@ fn no_recover_starts_cold_and_rebuilds_the_wal() {
     let revived = Server::start(config(&dir));
     assert_eq!(stat_u64(&revived, "registry", "models"), 1);
     revived.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Appends a `PlanPut` of `value` under `key` to the log in `dir`, as a
+/// daemon would: framed and checksummed.
+fn append_plan_put(dir: &Path, key: &str, value: &str) {
+    let (mut wal, _) = Wal::open(dir, FsyncPolicy::Always).expect("open wal");
+    wal.append(&WalRecord::PlanPut {
+        key: key.to_string(),
+        value: value.to_string(),
+        tags: Vec::new(),
+    })
+    .expect("append");
+}
+
+#[test]
+fn replayed_plan_values_answer_as_they_always_have() {
+    let dir = wal_dir("values");
+    let line = r#"{"graph":"alexnet","precision":"8"}"#;
+    let hit = {
+        let server = Server::start(config(&dir));
+        server.handle_line(line);
+        let hit = server.handle_line(line);
+        assert!(hit.starts_with(r#"{"cached":true,"#), "{hit}");
+        server.shutdown();
+        hit
+    };
+    let (_, records) = Wal::open(&dir, FsyncPolicy::Os).expect("open wal");
+    let key = records
+        .iter()
+        .find_map(|r| match r {
+            WalRecord::PlanPut { key, .. } => Some(key.clone()),
+            _ => None,
+        })
+        .expect("the plan was logged");
+    let replayed = || {
+        let server = Server::start(config(&dir));
+        let reply = server.handle_line(line);
+        server.shutdown();
+        reply
+    };
+    // The compact value the daemon logged replays byte for byte.
+    assert_eq!(replayed(), hit);
+    // The same plan logged with whitespace answers the same bytes.
+    let plan = parse(&hit).get("plan").cloned().expect("plan");
+    let pretty = serde_json::to_string_pretty(&plan).expect("plan serialises");
+    assert!(pretty.contains('\n'));
+    append_plan_put(&dir, &key, &pretty);
+    assert_eq!(replayed(), hit);
+    // A value that is not JSON answers as its string literal.
+    append_plan_put(&dir, &key, "not json: {\"a\" \\ b\n");
+    assert_eq!(
+        replayed(),
+        r#"{"cached":true,"ok":true,"plan":"not json: {\"a\" \\ b\n"}"#
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
