@@ -231,7 +231,8 @@ for req in "${serve_reqs[@]}"; do
 done
 
 # Registry invalidation gate: a cached co-plan must be recomputed once
-# the tenant set changes.
+# the tenant set changes, and a co-plan recomputed after churn must be
+# byte-identical to the first one computed for the same tenant set.
 echo "==> serve registry: registering a tenant invalidates the co-plan cache"
 serve_expect() { # <pattern> <request-json>
   "$bin" request --connect "$addr" "$2" >/tmp/ci_serve_multi.out
@@ -245,10 +246,23 @@ serve_expect() { # <pattern> <request-json>
 serve_expect '"models":1' '{"op":"register","model":"axn","graph":"alexnet","share":0.4}'
 serve_expect '"models":2' '{"op":"register","model":"sqz","graph":"squeezenet","share":0.4}'
 serve_expect '"cached":false' '{"op":"coplan"}'
+cp /tmp/ci_serve_multi.out /tmp/ci_serve_coplan.out
 serve_expect '"cached":true' '{"op":"coplan"}'
 serve_expect '"model":"sqz"' '{"op":"route","model":"sqz"}'
 serve_expect '"models":3' '{"op":"register","model":"mbn","graph":"mobilenet","share":0.2}'
 serve_expect '"cached":false' '{"op":"coplan"}'
+# Dropping sqz reclaims the {axn, sqz} entry; registering it again
+# recomputes that co-plan on the daemon's retained planning state.
+serve_expect '"models":2' '{"op":"unregister","model":"mbn"}'
+serve_expect '"models":1' '{"op":"unregister","model":"sqz"}'
+serve_expect '"models":2' '{"op":"register","model":"sqz","graph":"squeezenet","share":0.4}'
+serve_expect '"cached":false' '{"op":"coplan"}'
+if ! cmp -s /tmp/ci_serve_coplan.out /tmp/ci_serve_multi.out; then
+  echo "FAIL: co-plan recomputed after registry churn differs from the first one" >&2
+  diff /tmp/ci_serve_coplan.out /tmp/ci_serve_multi.out >&2 || true
+  kill "$serve_pid" 2>/dev/null || true
+  exit 1
+fi
 
 # Panic containment: an injected worker panic must surface as a typed
 # internal_error and leave the daemon fully serviceable (the request

@@ -132,6 +132,11 @@ impl<T> Cache<T> {
         before - map.len()
     }
 
+    /// Entries stored, including cells whose computation failed.
+    fn len(&self) -> usize {
+        self.map.lock().expect("cache lock poisoned").len()
+    }
+
     fn counts(&self) -> (usize, usize) {
         (
             self.hits.load(Ordering::Relaxed),
@@ -494,9 +499,9 @@ impl Harness {
     /// Evicts every cached artefact derived from `graph` — designs,
     /// profiles, baselines, results (and with them their `--profile`
     /// run records), and delta-plan artifacts — returning how many
-    /// entries were dropped. The serve daemon calls this when a
-    /// registered model's graph *content* changes, so a re-registered
-    /// digest never serves stale artifacts.
+    /// entries were dropped. Entries are keyed by graph content, so
+    /// none ever goes stale; the serve daemon calls this to bound the
+    /// state it keeps for graphs that left its registry.
     pub fn invalidate_graph(&self, graph: &Graph) -> usize {
         let fingerprint = graph.fingerprint_key();
         self.designs.remove_graph(fingerprint)
@@ -504,6 +509,16 @@ impl Harness {
             + self.baselines.remove_graph(fingerprint)
             + self.results.remove_graph(fingerprint)
             + self.artifacts.remove_graph(fingerprint)
+    }
+
+    /// How many entries the artefact caches hold, over every graph.
+    #[must_use]
+    pub fn entry_count(&self) -> usize {
+        self.designs.len()
+            + self.profiles.len()
+            + self.baselines.len()
+            + self.results.len()
+            + self.artifacts.len()
     }
 
     /// UMM baseline and full-LCMM result side by side (the memoized

@@ -255,18 +255,54 @@ struct Histograms {
 #[derive(Clone)]
 struct Registered {
     graph: Graph,
-    /// Digest of the graph's canonical JSON — the identity registry
-    /// churn is judged by: only a *content* change invalidates the
-    /// harness's pass artifacts for the old graph.
-    graph_digest: String,
     precision: Precision,
     weight: f64,
     share: Option<f64>,
 }
 
-/// Digest of a graph's canonical JSON fingerprint.
-fn graph_digest(graph: &Graph) -> String {
-    graph.fingerprint_key().lanes().digest()
+impl Registered {
+    /// Whether `other` co-plans exactly like `self`: re-registering a
+    /// model with the same graph content and parameters invalidates no
+    /// cached co-plan.
+    fn same_as(&self, other: &Registered) -> bool {
+        self.graph.fingerprint_key() == other.graph.fingerprint_key()
+            && self.precision == other.precision
+            && self.weight == other.weight
+            && self.share == other.share
+    }
+}
+
+/// How many graphs that left the registry keep their harness state.
+/// Churn over a fixed set of models then replans from memory, while a
+/// model re-registered with a new graph at every version, or a client
+/// cycling distinct graphs through the registry, leaves the state of at
+/// most this many unregistered graphs behind.
+const RETIRED_GRAPHS: usize = 8;
+
+/// Records a registry write in the retired-graph queue. `dropped`, the
+/// entry the write replaced or removed, retires when no model in
+/// `registry` (the state after the write) uses its graph content any
+/// more, and a graph registered again leaves the queue. Returns the
+/// graphs retired longest ago past [`RETIRED_GRAPHS`], whose harness
+/// state the caller drops. Runs under the registry lock, so no
+/// registered graph is ever in the queue.
+fn retire(
+    inner: &Inner,
+    registry: &BTreeMap<String, Registered>,
+    dropped: Option<Registered>,
+) -> Vec<Graph> {
+    let registered = |graph: &Graph| {
+        registry
+            .values()
+            .any(|r| r.graph.fingerprint_key() == graph.fingerprint_key())
+    };
+    let mut retired = lock_safe(&inner.retired);
+    retired.retain(|graph| !registered(graph));
+    if let Some(old) = dropped.filter(|old| !registered(&old.graph)) {
+        retired.push_back(old.graph);
+    }
+    let excess = retired.len().saturating_sub(RETIRED_GRAPHS);
+    retired.drain(..excess).collect()
 }
 
 /// The invalidation tag carried by every cached co-plan that inlined
@@ -299,6 +335,10 @@ struct Inner {
     harness: Harness,
     cache: PlanCache,
     registry: Mutex<BTreeMap<String, Registered>>,
+    /// Graphs no registered model uses, oldest first, whose harness
+    /// state is still kept ([`retire`]). Locked only while `registry`
+    /// is held.
+    retired: Mutex<VecDeque<Graph>>,
     queue: Mutex<QueueState>,
     queue_cv: Condvar,
     shutting_down: AtomicBool,
@@ -374,6 +414,7 @@ impl Server {
             harness: Harness::new(workers),
             cache: PlanCache::new(config.cache_capacity),
             registry: Mutex::new(BTreeMap::new()),
+            retired: Mutex::new(VecDeque::new()),
             queue: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
                 in_flight: 0,
@@ -547,7 +588,6 @@ impl Server {
             }
         }
         let entry = Registered {
-            graph_digest: graph_digest(&graph),
             graph,
             precision,
             weight,
@@ -562,36 +602,24 @@ impl Server {
         };
         let inner = &self.inner;
         let models = durably(inner, || {
-            let (models, previous, digest_still_used) = {
+            let (models, identical, dropped) = {
                 let mut registry = lock_safe(&inner.registry);
                 let previous = registry.insert(model.clone(), entry.clone());
-                let digest_still_used = previous.as_ref().is_some_and(|old| {
-                    registry
-                        .values()
-                        .any(|r| r.graph_digest == old.graph_digest)
-                });
-                (registry.len() as u64, previous, digest_still_used)
+                let identical = previous.as_ref().is_some_and(|old| old.same_as(&entry));
+                let dropped = retire(inner, &registry, previous);
+                (registry.len() as u64, identical, dropped)
             };
-            let identical = previous.as_ref().is_some_and(|old| {
-                old.graph_digest == entry.graph_digest
-                    && old.precision == entry.precision
-                    && old.weight == entry.weight
-                    && old.share == entry.share
-            });
             if !identical {
                 // Only co-plans that inlined this model are stale; plans
                 // of other tenant sets (and content-addressed
                 // single-model `plan` entries) survive.
                 inner.cache.invalidate_tag(&model_tag(&model));
-                // Pass artifacts are keyed by graph content, so they go
-                // stale only when the model's graph *content* changed
-                // and no other registered model still uses the old
-                // graph.
-                if let Some(old) = previous {
-                    if old.graph_digest != entry.graph_digest && !digest_still_used {
-                        inner.harness.invalidate_graph(&old.graph);
-                    }
-                }
+            }
+            // Harness entries are keyed by graph content, so none is
+            // ever stale; only graphs retired long ago are dropped, to
+            // bound what the daemon keeps.
+            for graph in dropped {
+                inner.harness.invalidate_graph(&graph);
             }
             (models, Some(record))
         });
@@ -618,23 +646,20 @@ impl Server {
         };
         let inner = &self.inner;
         let (removed, models) = durably(inner, || {
-            let (removed, models, digest_still_used) = {
+            let (dropped, models) = {
                 let mut registry = lock_safe(&inner.registry);
-                let removed = registry.remove(&model);
-                let digest_still_used = removed.as_ref().is_some_and(|old| {
-                    registry
-                        .values()
-                        .any(|r| r.graph_digest == old.graph_digest)
-                });
-                (removed, registry.len() as u64, digest_still_used)
+                let dropped = registry
+                    .remove(&model)
+                    .map(|old| retire(inner, &registry, Some(old)));
+                (dropped, registry.len() as u64)
             };
-            let Some(old) = removed else {
+            let Some(dropped) = dropped else {
                 // Nothing changed: nothing to log.
                 return ((false, models), None);
             };
             inner.cache.invalidate_tag(&model_tag(&model));
-            if !digest_still_used {
-                inner.harness.invalidate_graph(&old.graph);
+            for graph in dropped {
+                inner.harness.invalidate_graph(&graph);
             }
             (
                 (true, models),
@@ -949,8 +974,9 @@ fn snapshot_records(inner: &Inner) -> Vec<WalRecord> {
 
 /// Applies one replayed WAL record at startup. Mirrors the live
 /// mutation paths (including the invalidation a non-identical
-/// re-register triggers) minus the counters and the harness hooks —
-/// the harness is empty before the first worker spawns. Undecodable
+/// re-register triggers) minus the counters and the retired-graph
+/// queue — the harness is empty before the first worker spawns, so no
+/// graph retired before the restart has state to drop. Undecodable
 /// records (e.g. a graph encoding from a future version) are skipped,
 /// not fatal; replay of a valid log is idempotent.
 fn apply_replayed(inner: &Inner, record: WalRecord) {
@@ -969,20 +995,13 @@ fn apply_replayed(inner: &Inner, record: WalRecord) {
                 return;
             };
             let entry = Registered {
-                graph_digest: graph_digest(&graph),
                 graph,
                 precision,
                 weight,
                 share,
             };
             let previous = lock_safe(&inner.registry).insert(model.clone(), entry.clone());
-            let identical = previous.as_ref().is_some_and(|old| {
-                old.graph_digest == entry.graph_digest
-                    && old.precision == entry.precision
-                    && old.weight == entry.weight
-                    && old.share == entry.share
-            });
-            if !identical {
+            if !previous.is_some_and(|old| old.same_as(&entry)) {
                 inner.cache.replay_invalidate_tag(&model_tag(&model));
             }
         }
@@ -1768,7 +1787,6 @@ mod tests {
             ))
         );
         let tenant = |graph: Graph, share| Registered {
-            graph_digest: graph_digest(&graph),
             graph,
             precision: Precision::Fix8,
             weight: 2.0,
@@ -1801,10 +1819,49 @@ mod tests {
             coplan_cache_key(&registry, &device, &opts),
             format!("{COPLAN_KEY_PREFIX}{}", digest(&fingerprint))
         );
-        assert_eq!(
-            registry[0].1.graph_digest,
-            digest(&json(&lcmm_graph::zoo::alexnet()))
-        );
+    }
+
+    /// Registry churn over ever-new graphs keeps the harness bounded: a
+    /// model re-registered with a new graph at every version, and a
+    /// client cycling new graphs through register, co-plan and
+    /// unregister, leave the state of at most [`RETIRED_GRAPHS`]
+    /// unregistered graphs behind.
+    #[test]
+    fn registry_churn_over_new_graphs_keeps_the_harness_bounded() {
+        let server = Server::start(ServerConfig::default().with_workers(1));
+        let ok = |line: &str| {
+            let reply = server.handle_line(line);
+            assert!(reply.contains("\"ok\":true"), "{line}: {reply}");
+        };
+        let register = |model: &str, seed: usize| {
+            ok(&format!(
+                r#"{{"op":"register","model":"{model}","graph":"synthetic:48x3x{seed}","share":0.5}}"#
+            ));
+        };
+        let rollout = |seed: usize| {
+            register("m", seed);
+            ok(r#"{"op":"coplan"}"#);
+        };
+        let cycle = |seed: usize| {
+            register("c", seed);
+            ok(r#"{"op":"coplan"}"#);
+            ok(r#"{"op":"unregister","model":"c"}"#);
+        };
+        let entries = || server.inner.harness.entry_count();
+        for (phase, churn) in [(0, &rollout as &dyn Fn(usize)), (1000, &cycle)] {
+            // The first RETIRED_GRAPHS + 1 graphs fill the retired queue
+            // with graphs of this phase's kind; past that, every new
+            // graph retires the oldest one and drops its state.
+            for seed in phase..=phase + RETIRED_GRAPHS {
+                churn(seed);
+            }
+            let bound = entries();
+            for seed in phase + RETIRED_GRAPHS + 1..phase + 3 * (RETIRED_GRAPHS + 1) {
+                churn(seed);
+                assert_eq!(entries(), bound, "graph {seed} grew the harness");
+            }
+        }
+        server.shutdown();
     }
 
     #[test]

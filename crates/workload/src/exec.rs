@@ -220,9 +220,9 @@ impl RunOutcome {
     }
 }
 
-/// Per-tenant executor state.
-struct TenantState {
-    arrivals: Vec<f64>,
+/// Per-tenant executor state over borrowed arrival times.
+struct TenantState<'a> {
+    arrivals: &'a [f64],
     next: usize,
     queue: VecDeque<f64>,
     chan: Channel,
@@ -230,7 +230,7 @@ struct TenantState {
     window_observed: u64,
 }
 
-impl TenantState {
+impl TenantState<'_> {
     fn pending(&self) -> bool {
         !self.queue.is_empty() || self.next < self.arrivals.len()
     }
@@ -273,30 +273,42 @@ pub fn simulate(
     config: &ControllerConfig,
     start_point: usize,
 ) -> RunOutcome {
+    let arrivals: Vec<Vec<f64>> = (0..spec.tenants.len()).map(|t| spec.arrivals(t)).collect();
+    simulate_arrivals(grid, spec, &arrivals, config, start_point)
+}
+
+/// [`simulate`] over arrival times already generated by
+/// [`WorkloadSpec::arrivals`], one list per tenant, so that the runs of
+/// one workload share a single generated trace.
+pub(crate) fn simulate_arrivals(
+    grid: &PreparedGrid,
+    spec: &WorkloadSpec,
+    arrivals: &[Vec<f64>],
+    config: &ControllerConfig,
+    start_point: usize,
+) -> RunOutcome {
     assert_eq!(
         grid.models.len(),
         spec.tenants.len(),
         "one traffic spec per tenant"
     );
     let window = config.window_for(spec.horizon_seconds);
-    let mut states: Vec<TenantState> = (0..spec.tenants.len())
-        .map(|t| {
-            let arrivals = spec.arrivals(t);
-            TenantState {
-                outcome: TenantOutcome {
-                    arrivals: arrivals.len() as u64,
-                    batches: 0,
-                    completed: 0,
-                    dropped: 0,
-                    latencies: Vec::new(),
-                    histogram: LatencyHistogram::new(),
-                },
-                arrivals,
-                next: 0,
-                queue: VecDeque::new(),
-                chan: Channel::new(),
-                window_observed: 0,
-            }
+    let mut states: Vec<TenantState> = arrivals
+        .iter()
+        .map(|arrivals| TenantState {
+            outcome: TenantOutcome {
+                arrivals: arrivals.len() as u64,
+                batches: 0,
+                completed: 0,
+                dropped: 0,
+                latencies: Vec::new(),
+                histogram: LatencyHistogram::new(),
+            },
+            arrivals,
+            next: 0,
+            queue: VecDeque::new(),
+            chan: Channel::new(),
+            window_observed: 0,
         })
         .collect();
 
@@ -361,7 +373,9 @@ pub fn simulate(
     let tenants = states
         .into_iter()
         .map(|mut st| {
-            st.outcome.latencies.sort_by(f64::total_cmp);
+            // Values that `total_cmp` calls equal have identical bits,
+            // so an unstable sort gives the same vector.
+            st.outcome.latencies.sort_unstable_by(f64::total_cmp);
             st.outcome
         })
         .collect();

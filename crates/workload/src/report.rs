@@ -10,7 +10,7 @@
 //! runs and `--jobs` settings.
 
 use crate::controller::ControllerConfig;
-use crate::exec::{prepare, simulate, PreparedGrid, RunOutcome, TenantOutcome};
+use crate::exec::{prepare, simulate_arrivals, PreparedGrid, RunOutcome, TenantOutcome};
 use crate::trace::{
     parse_trace, ArrivalProcess, TenantTraffic, TraceSource, WorkloadSpec, DEFAULT_MAX_BATCH,
 };
@@ -53,10 +53,15 @@ pub fn run_workload(
 
     // Static sweep: the same trace at every prepared point, fanned out
     // through the order-preserving par_map (each run is internally
-    // sequential, so the sweep is byte-identical at any --jobs).
+    // sequential, so the sweep is byte-identical at any --jobs). The
+    // arrivals are generated once and shared by every run.
+    let arrivals: Vec<Vec<f64>> = (0..spec.tenants.len()).map(|t| spec.arrivals(t)).collect();
+    let run = |config: &ControllerConfig, start: usize| {
+        simulate_arrivals(&grid, &spec, &arrivals, config, start)
+    };
     let static_cfg = controller.clone().with_enabled(false);
     let indices: Vec<usize> = (0..grid.points.len()).collect();
-    let static_runs = harness.par_map(&indices, |&p| simulate(&grid, &spec, &static_cfg, p));
+    let static_runs = harness.par_map(&indices, |&p| run(&static_cfg, p));
     let mut best_static = 0;
     for (i, run) in static_runs.iter().enumerate() {
         if run.worst_p99() < static_runs[best_static].worst_p99() {
@@ -65,7 +70,7 @@ pub fn run_workload(
     }
 
     let chosen = if controller.enabled {
-        simulate(&grid, &spec, controller, grid.even_point())
+        run(controller, grid.even_point())
     } else {
         static_runs[best_static].clone()
     };
@@ -280,7 +285,7 @@ fn report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::PreparedPoint;
+    use crate::exec::{simulate, PreparedPoint};
 
     fn grid2(points: Vec<Vec<f64>>) -> PreparedGrid {
         PreparedGrid {
