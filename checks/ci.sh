@@ -229,6 +229,18 @@ for req in "${serve_reqs[@]}"; do
     exit 1
   fi
 done
+# Each of those eleven plans counts once, whichever thread answered it:
+# the four zoo repeats are hits answered at admission, the synthetic
+# one a hit answered by a worker.
+"$bin" request --connect "$addr" --op stats >/tmp/ci_serve_stats.out
+for want in '"cache":{[^}]*"hits":5,[^}]*"misses":6}' '"requests":{[^}]*"total":11}'; do
+  if ! grep -q "$want" /tmp/ci_serve_stats.out; then
+    echo "FAIL: serve stats after the smoke requests do not match $want" >&2
+    cat /tmp/ci_serve_stats.out >&2
+    kill "$serve_pid" 2>/dev/null || true
+    exit 1
+  fi
+done
 
 # Registry invalidation gate: a cached co-plan must be recomputed once
 # the tenant set changes, and a co-plan recomputed after churn must be
@@ -276,6 +288,9 @@ if ! grep -q '"code":"internal_error"' /tmp/ci_serve_panic.out; then
   exit 1
 fi
 serve_expect '"ok":true' '{"graph":"alexnet","precision":"8"}'
+# That cached plan is answered at admission, without a worker; a plan
+# at a budget not planned yet needs one, so it proves a worker survived.
+serve_expect '"cached":false' '{"graph":"alexnet","precision":"8","options":{"tensor_budget":2097152}}'
 serve_expect '"cached":true' '{"op":"coplan"}'
 
 "$bin" request --connect "$addr" --op shutdown >/dev/null

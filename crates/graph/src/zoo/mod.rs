@@ -139,6 +139,21 @@ pub fn by_name(name: &str) -> Option<Graph> {
             synthetic_scaled(depth, branching, seed, width_percent)
         });
     }
+    index_of(name).map(built)
+}
+
+/// The named model `name` (an alias as [`by_name`] accepts it) if this
+/// process has already built it, without building it: `None` for a net
+/// not built yet, a `synthetic` spec, or an unknown name. Lets a caller
+/// that must not spend a build (the serve event loop) resolve the nets
+/// already in memory.
+#[must_use]
+pub fn built_by_name(name: &str) -> Option<Graph> {
+    index_of(name).and_then(|index| BUILT[index].get().cloned())
+}
+
+/// The index in [`NAMES`] of the named model `name` or its alias.
+fn index_of(name: &str) -> Option<usize> {
     let lower = name.to_ascii_lowercase();
     let canonical = match lower.as_str() {
         "densenet" | "dn" => "densenet121",
@@ -151,7 +166,7 @@ pub fn by_name(name: &str) -> Option<Graph> {
         "irv2" => "inception_resnet_v2",
         other => other,
     };
-    NAMES.iter().position(|&n| n == canonical).map(built)
+    NAMES.iter().position(|&n| n == canonical)
 }
 
 #[cfg(test)]

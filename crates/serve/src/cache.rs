@@ -87,19 +87,23 @@ impl PlanCache {
 
     /// Looks up `key`, refreshing its recency on a hit.
     pub fn get(&self, key: &str) -> Option<String> {
+        let value = self.probe(key);
+        if value.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        value
+    }
+
+    /// [`PlanCache::get`] that counts a hit but not a miss. The server
+    /// probes at admission and queues a miss for a worker, whose own
+    /// [`PlanCache::get`] of the same key then counts it once.
+    pub fn probe(&self, key: &str) -> Option<String> {
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut map = lock_safe(&self.map);
-        match map.get_mut(key) {
-            Some(entry) => {
-                entry.stamp = stamp;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry.value.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let entry = map.get_mut(key)?;
+        entry.stamp = stamp;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(entry.value.clone())
     }
 
     /// Stores `value` under `key`, evicting the least-recently-used
@@ -239,6 +243,17 @@ mod tests {
         let s = c.counters();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn probe_counts_hits_only() {
+        let c = PlanCache::new(4);
+        assert_eq!(c.probe("k"), None);
+        assert_eq!(c.counters().misses, 0, "a probe leaves misses to get");
+        c.put("k".to_string(), "V".to_string());
+        assert_eq!(c.probe("k").as_deref(), Some("V"));
+        let s = c.counters();
+        assert_eq!((s.hits, s.misses), (1, 0));
     }
 
     #[test]

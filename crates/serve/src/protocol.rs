@@ -350,7 +350,26 @@ impl WireRequest {
         let spec = self.graph.as_ref().ok_or_else(|| {
             LcmmError::InvalidRequest("plan request needs a \"graph\" field".to_string())
         })?;
-        let graph = spec.resolve()?;
+        self.resolve_plan_of(spec.resolve()?)
+    }
+
+    /// [`WireRequest::resolve_plan`] when that costs no graph build:
+    /// the request names a zoo net this process has already built
+    /// ([`lcmm_graph::zoo::built_by_name`]). `None` for synthetic specs,
+    /// inline graphs, nets not built yet, and requests that do not
+    /// resolve (those are left to [`WireRequest::resolve_plan`], which
+    /// reports why).
+    #[must_use]
+    pub(crate) fn resolve_built_plan(&self) -> Option<ResolvedPlan> {
+        let Some(GraphSpec::Named(name)) = &self.graph else {
+            return None;
+        };
+        self.resolve_plan_of(lcmm_graph::zoo::built_by_name(name)?)
+            .ok()
+    }
+
+    /// Resolves the fields other than the graph around `graph`.
+    fn resolve_plan_of(&self, graph: Graph) -> Result<ResolvedPlan, LcmmError> {
         let device_name = self.device.as_deref().unwrap_or("vu9p");
         let device = Device::by_name(device_name)
             .ok_or_else(|| LcmmError::UnknownDevice(device_name.to_string()))?;

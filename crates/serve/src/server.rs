@@ -5,10 +5,22 @@
 //! every transport (stdin, the in-process integration tests) feeds
 //! request lines through it and writes the returned response line
 //! back; the event-loop transports use the non-blocking
-//! [`Server::handle_line_async`] twin instead. Plan requests are
-//! admitted into a bounded queue and picked up by a fixed pool of
-//! worker threads sharing one memoized [`Harness`]; everything else
-//! (`ping`, `stats`, `register`, `shutdown`) is answered inline.
+//! [`Server::handle_line_async`] twin instead. Plan, co-plan, route and
+//! workload requests are admitted into a bounded queue and picked up by
+//! a fixed pool of worker threads sharing one memoized [`Harness`];
+//! everything else (`ping`, `stats`, `register`, `shutdown`) is
+//! answered inline, on the calling thread.
+//!
+//! One kind of plan request is answered inline too: a plan of a zoo net
+//! this process has already built is resolved, keyed and looked up in
+//! the plan cache at admission, and a hit is answered on the calling
+//! thread (the event loop, for the socket transports) without a queue
+//! slot or a worker. A miss is queued like any other plan, and the
+//! worker resolves and keys it again. Synthetic specs, inline graphs,
+//! `debug:` hooks and nets not built yet are not probed, since
+//! resolving them builds a graph (a synthetic one of any size);
+//! co-plans, routes and workloads are not, since their keys cost a pass
+//! over the registry.
 //!
 //! Three things keep the daemon alive through faults:
 //!
@@ -56,7 +68,9 @@ pub struct ServerConfig {
     /// Worker threads computing plans.
     pub workers: usize,
     /// Admission bound: a plan request is rejected with `queue_full`
-    /// when `queued + in_flight` would exceed this.
+    /// when `queued + in_flight` would exceed this. A plan answered from
+    /// the cache at admission takes no slot, so it is answered even
+    /// while the queue is full.
     pub queue_capacity: usize,
     /// Plan cache entries (0 disables the cache).
     pub cache_capacity: usize,
@@ -469,15 +483,18 @@ impl Server {
     }
 
     /// [`Server::handle_line`] for event-loop transports: never blocks
-    /// the calling thread on plan computation. Inline operations invoke
-    /// `reply` before returning; queued plans invoke it from whichever
-    /// thread completes the request (a worker, the health watcher, or
-    /// shutdown). `reply` is called exactly once.
-    pub fn handle_line_async(&self, line: &str, reply: Box<dyn FnOnce(String) + Send>) {
-        let slot = Arc::new(Slot::with_callback(reply));
-        if let Some(inline) = self.route(line, &slot) {
-            slot.fill(inline);
-        }
+    /// the calling thread on plan computation. `Some` is the answer,
+    /// produced on the calling thread: an inline operation, a plan-cache
+    /// hit taken at admission, or a rejection; `reply` is then never
+    /// called. `None` means the request was queued, and `reply` is
+    /// called exactly once, from whichever thread completes it (a
+    /// worker, the health watcher, or shutdown).
+    pub fn handle_line_async(
+        &self,
+        line: &str,
+        reply: Box<dyn FnOnce(String) + Send>,
+    ) -> Option<String> {
+        self.route(line, &Arc::new(Slot::with_callback(reply)))
     }
 
     /// Parses and dispatches one line. `Some` is an inline answer;
@@ -736,8 +753,9 @@ impl Server {
         }
     }
 
-    /// Admission control: `Some` is an inline rejection, `None` means
-    /// the job was queued and `slot` will be filled asynchronously.
+    /// Admission control: `Some` is an inline answer (a plan-cache hit
+    /// or a rejection), `None` means the job was queued and `slot` will
+    /// be filled asynchronously.
     fn submit_plan(&self, request: WireRequest, slot: &Arc<Slot>) -> Option<String> {
         let inner = &self.inner;
         inner.plans_total.fetch_add(1, Ordering::Relaxed);
@@ -747,6 +765,26 @@ impl Server {
             Some(ms) => CancelToken::with_deadline(Instant::now() + Duration::from_millis(ms)),
             None => CancelToken::new(),
         };
+        // A plan of a zoo net already built is keyed here and a hit
+        // answered on this thread, under the cache lock alone. A request
+        // arriving while the server drains, or already past its
+        // deadline, takes the queue's way, so it answers `shutting_down`
+        // or `timeout` as before.
+        let probe = request.op == Op::Plan && !self.is_shutting_down() && !cancel.is_expired();
+        if let Some(resolved) = probe.then(|| request.resolve_built_plan()).flatten() {
+            // A miss is not counted here: the worker's own lookup
+            // counts it, or answers a hit stored in the meantime.
+            if let Some(stored) = inner.cache.probe(&cache_key(&resolved)) {
+                inner.plans_completed.fetch_add(1, Ordering::Relaxed);
+                return Some(plan_line(
+                    request.id,
+                    Payload::Json(&stored),
+                    true,
+                    None,
+                    request.v,
+                ));
+            }
+        }
         {
             let mut queue = lock_safe(&inner.queue);
             if inner.shutting_down.load(Ordering::SeqCst) {
@@ -1107,8 +1145,11 @@ fn worker_loop(inner: &Arc<Inner>, state: &Arc<WorkerState>) {
             // this thread no longer exists as far as the pool knows.
             return;
         }
-        job.slot.fill(line);
+        // Free the admission slot before answering: a client that sends
+        // its next request the moment it reads this reply must not find
+        // the queue still full of a request already answered.
         lock_safe(&inner.queue).in_flight -= 1;
+        job.slot.fill(line);
     }
 }
 
@@ -1154,13 +1195,14 @@ fn watcher_loop(inner: &Arc<Inner>, budget: Duration) {
             // next cooperative check and the thread exits promptly;
             // worst case it stays wedged, detached, and harmless.
             cancel.cancel();
+            inner.plans_errored.fetch_add(1, Ordering::Relaxed);
+            inner.recycled.fetch_add(1, Ordering::Relaxed);
+            // As for a worker: release the slot, then answer.
+            lock_safe(&inner.queue).in_flight -= 1;
             slot.fill(
                 WireResponse::from_error(request_id, &LcmmError::WorkerRecycled)
                     .to_line_v(request_v),
             );
-            inner.plans_errored.fetch_add(1, Ordering::Relaxed);
-            inner.recycled.fetch_add(1, Ordering::Relaxed);
-            lock_safe(&inner.queue).in_flight -= 1;
             leave_pool(inner, state.id);
             spawn_worker(inner);
         }
@@ -1743,23 +1785,31 @@ mod tests {
     fn async_handle_replies_through_the_callback() {
         let server = Server::start(ServerConfig::default().with_workers(2));
         let (tx, rx) = std::sync::mpsc::channel();
-        // Inline op: callback fires before handle_line_async returns.
-        let tx2 = tx.clone();
-        server.handle_line_async(
-            r#"{"op":"ping","id":7}"#,
-            Box::new(move |line| tx2.send(line).unwrap()),
-        );
+        let reply = |tx: &std::sync::mpsc::Sender<String>| {
+            let tx = tx.clone();
+            Box::new(move |line| tx.send(line).unwrap()) as Callback
+        };
+        // Inline op: answered on return, and the callback never fires.
         assert_eq!(
-            rx.recv_timeout(Duration::from_secs(5)).unwrap(),
-            r#"{"id":7,"ok":true,"pong":true}"#
+            server
+                .handle_line_async(r#"{"op":"ping","id":7}"#, reply(&tx))
+                .as_deref(),
+            Some(r#"{"id":7,"ok":true,"pong":true}"#)
         );
         // Queued plan: callback fires from a worker thread.
-        server.handle_line_async(
-            r#"{"graph":"alexnet"}"#,
-            Box::new(move |line| tx.send(line).unwrap()),
+        let line = r#"{"graph":"alexnet"}"#;
+        assert_eq!(server.handle_line_async(line, reply(&tx)), None);
+        let computed = rx.recv_timeout(Duration::from_secs(60)).unwrap();
+        assert!(computed.contains("\"cached\":false"), "{computed}");
+        // Its repeat is a hit answered on return, byte for byte the
+        // computed reply with the flag flipped.
+        let hit = server.handle_line_async(line, reply(&tx));
+        assert_eq!(
+            hit,
+            Some(computed.replacen("\"cached\":false", "\"cached\":true", 1))
         );
-        let line = rx.recv_timeout(Duration::from_secs(60)).unwrap();
-        assert!(line.contains("\"ok\":true"), "{line}");
+        drop(tx);
+        assert!(rx.recv().is_err(), "no callback fired for an inline answer");
         server.shutdown();
     }
 

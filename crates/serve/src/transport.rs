@@ -5,11 +5,20 @@
 //! One transport thread owns every socket and sleeps in `poll(2)` until
 //! something is ready: a connection pending on the listener, a
 //! connection the loop wants to read from or write to, or a completion.
-//! It accepts non-blockingly, reads whatever bytes are available into
-//! per-connection buffers, hands complete lines to the server (which
-//! answers inline or from a worker thread through a completion
-//! channel), and writes responses back as sockets accept them. Every
-//! completion is sent on the channel and then rings a wake socket that
+//! It then acts on what `poll` reported (`revents`) and on nothing
+//! else: it accepts only when the listener polled readable, drains the
+//! wake socket only when that polled readable, and reads only the
+//! connections that polled readable, hung up or in error, plus those
+//! accepted in the same pass. `poll` is level-triggered, so bytes left
+//! unread are reported again.
+//!
+//! Complete lines go to the server. What it answers at once (an inline
+//! operation, or a plan-cache hit taken at admission) goes straight
+//! into the connection's response order and is written before the loop
+//! polls again: a cache hit costs one `poll`, one `read` and one
+//! `write`. A request queued for a worker is answered through a
+//! completion channel: the worker (or the health watcher, or shutdown)
+//! sends the response on the channel and then rings a wake socket that
 //! the loop polls, so neither a request nor a finished plan waits on a
 //! clock. A slow, stalled, or disconnected client costs a buffer, not a
 //! thread — and a write error tears down that one connection, never the
@@ -202,9 +211,16 @@ struct Connection {
     read_closed: bool,
     /// Tear down at the end of the iteration (write error, overflow).
     dead: bool,
+    /// `poll` reported the socket readable, hung up or in error, or it
+    /// was accepted in this pass: the loop reads from it once.
+    read_ready: bool,
+    /// The socket took less than the loop offered: no write is tried
+    /// again until `poll` reports it writable (or hung up, or in error).
+    write_blocked: bool,
 }
 
 impl Connection {
+    /// A connection accepted in this pass, so read before any `poll`.
     fn new(stream: Box<dyn Stream>) -> Self {
         Self {
             stream,
@@ -216,6 +232,8 @@ impl Connection {
             ready: BTreeMap::new(),
             read_closed: false,
             dead: false,
+            read_ready: true,
+            write_blocked: false,
         }
     }
 
@@ -251,6 +269,69 @@ impl Connection {
         events
     }
 
+    /// Records what `poll` reported for this socket.
+    fn polled(&mut self, revents: sys::Events) {
+        if revents & (sys::POLLIN | sys::POLLHUP | sys::POLLERR) != 0 {
+            self.read_ready = true;
+        }
+        if revents & (sys::POLLOUT | sys::POLLHUP | sys::POLLERR) != 0 {
+            self.write_blocked = false;
+        }
+    }
+
+    /// Reads once into the read buffer: EOF half-closes the connection,
+    /// an error or an overlong line kills it. The loop handles what one
+    /// read returns before it reads again; `poll` reports the rest.
+    fn read_some(&mut self, scratch: &mut [u8]) {
+        loop {
+            match self.stream.read(scratch) {
+                Ok(0) => self.read_closed = true,
+                Ok(n) => {
+                    self.read_buf.extend_from_slice(&scratch[..n]);
+                    self.dead |= self.read_buf.len() > MAX_LINE;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => self.dead = true,
+            }
+            return;
+        }
+    }
+
+    /// Hands the complete lines of the read buffer to the server, in
+    /// order, each numbered by its place in the response order. An
+    /// answer the server gives at once goes straight into `ready`; a
+    /// queued request's answer comes back through `completions`.
+    /// Consumed lines leave the buffer in one drain at the end.
+    fn dispatch(&mut self, conn_id: u64, server: &Server, completions: &Arc<Completions>) {
+        let mut start = 0;
+        while let Some(len) = self.read_buf[self.scanned..]
+            .iter()
+            .position(|&b| b == b'\n')
+        {
+            let end = self.scanned + len;
+            self.scanned = end + 1;
+            let line = String::from_utf8_lossy(&self.read_buf[start..end]);
+            start = end + 1;
+            if line.trim().is_empty() {
+                continue;
+            }
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            let completions = Arc::clone(completions);
+            let answer = server.handle_line_async(
+                &line,
+                Box::new(move |response| completions.deliver((conn_id, seq, response))),
+            );
+            if let Some(answer) = answer {
+                self.ready.insert(seq, answer);
+            }
+        }
+        self.read_buf.drain(..start);
+        self.scanned = self.read_buf.len();
+        self.release_ready();
+    }
+
     /// Moves consecutively-ready responses into the write buffer.
     fn release_ready(&mut self) {
         while let Some(line) = self.ready.remove(&self.next_send) {
@@ -260,9 +341,9 @@ impl Connection {
         }
     }
 
-    /// Writes as much of the write buffer as the socket accepts.
-    /// Returns `false` on a fatal write error — which kills *this*
-    /// connection only.
+    /// Writes as much of the write buffer as the socket accepts, and
+    /// notes whether it took everything. Returns `false` on a fatal
+    /// write error — which kills *this* connection only.
     fn flush_some(&mut self) -> bool {
         let mut written = 0;
         while written < self.write_buf.len() {
@@ -278,13 +359,14 @@ impl Connection {
             }
         }
         self.write_buf.drain(..written);
+        self.write_blocked = !self.write_buf.is_empty();
         true
     }
 }
 
-/// A completed response travelling from whichever thread finished it
-/// (the event loop itself for inline ops, a worker, the health watcher,
-/// or shutdown) back to the event loop: `(connection, seq, line)`.
+/// A queued request's response travelling from whichever thread
+/// finished it (a worker, the health watcher, or shutdown) back to the
+/// event loop: `(connection, seq, line)`.
 type Completion = (u64, u64, String);
 
 /// Where completions travel: the channel, plus a socket pair whose read
@@ -323,12 +405,13 @@ impl Completions {
         }
     }
 
-    /// Consumes every pending wake byte.
+    /// Consumes every pending wake byte. A read that does not fill the
+    /// buffer took all there was, so it needs no second read.
     fn drain_wakes(&self) {
         let mut buf = [0u8; 256];
         loop {
             match (&self.wake_rx).read(&mut buf) {
-                Ok(n) if n > 0 => {}
+                Ok(n) if n == buf.len() => {}
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 _ => return,
             }
@@ -349,15 +432,21 @@ fn event_loop(server: &Server, listener: &dyn Listener) -> io::Result<()> {
     let mut next_conn_id: u64 = 0;
     let mut scratch = [0u8; 64 * 1024];
     let mut poll_set = Vec::new();
+    // The connection behind each poll-set entry after the fixed ones.
+    let mut polled = Vec::new();
     // When the last accept failed: the listener sits out of `poll`
     // until a connection closes or `ACCEPT_RETRY` has passed.
     let mut accept_failed: Option<Instant> = None;
+    // The last `poll` reported a connection pending on the listener.
+    let mut listener_ready = false;
     loop {
-        // 1. Admit new connections (unless draining or backing off).
+        // 1. Admit new connections, when one is pending or a failed
+        // accept is due for a retry (never while draining).
         if accept_failed.is_some_and(|at| at.elapsed() >= ACCEPT_RETRY) {
             accept_failed = None;
+            listener_ready = true;
         }
-        if !server.is_shutting_down() && accept_failed.is_none() {
+        if std::mem::take(&mut listener_ready) && !server.is_shutting_down() {
             loop {
                 match listener.accept_stream() {
                     Ok(stream) => {
@@ -378,84 +467,34 @@ fn event_loop(server: &Server, listener: &dyn Listener) -> io::Result<()> {
                 }
             }
         }
-        // 2. Collect completed responses. Completions for connections
-        // that died in the meantime are discarded.
+        // 2. Collect the responses of queued requests. Completions for
+        // connections that died in the meantime are discarded.
         while let Ok((conn_id, seq, line)) = rx.try_recv() {
             if let Some(conn) = conns.get_mut(&conn_id) {
                 conn.ready.insert(seq, line);
                 conn.release_ready();
             }
         }
-        // 3. Pump every socket: write what is owed, read what is
-        // offered, respecting per-client backpressure.
+        // 3. Serve the sockets: read what `poll` reported, hand the
+        // complete lines to the server, and write what is owed,
+        // respecting per-client backpressure.
         for (&conn_id, conn) in &mut conns {
-            if conn.dead {
-                continue;
+            if std::mem::take(&mut conn.read_ready) && !conn.throttled() {
+                conn.read_some(&mut scratch);
+                if conn.dead {
+                    continue;
+                }
+                conn.dispatch(conn_id, server, &completions);
             }
-            if !conn.flush_some() {
-                // The write-error bugfix: a disconnected client kills
-                // its own connection, never the serving loop.
+            // A write error (the client vanished) kills this connection
+            // only, never the serving loop.
+            if !conn.write_buf.is_empty() && !conn.write_blocked && !conn.flush_some() {
                 conn.dead = true;
                 continue;
             }
             if conn.write_buf.len() > HARD_WRITE_CAP {
                 conn.dead = true;
-                continue;
             }
-            if conn.throttled() {
-                continue;
-            }
-            loop {
-                match conn.stream.read(&mut scratch) {
-                    Ok(0) => {
-                        conn.read_closed = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.read_buf.extend_from_slice(&scratch[..n]);
-                        if conn.read_buf.len() > MAX_LINE {
-                            conn.dead = true;
-                        }
-                        // Process what we have; `poll` reports the rest.
-                        break;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.dead = true;
-                        break;
-                    }
-                }
-            }
-            if conn.dead {
-                continue;
-            }
-            // Split complete lines out of the read buffer and hand them
-            // to the server; responses come back through the channel in
-            // whatever order they finish and are re-sequenced above.
-            // Consumed lines leave the buffer in one drain at the end.
-            let mut start = 0;
-            while let Some(len) = conn.read_buf[conn.scanned..]
-                .iter()
-                .position(|&b| b == b'\n')
-            {
-                let end = conn.scanned + len;
-                conn.scanned = end + 1;
-                let line = String::from_utf8_lossy(&conn.read_buf[start..end]);
-                start = end + 1;
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let seq = conn.next_seq;
-                conn.next_seq += 1;
-                let completions = Arc::clone(&completions);
-                server.handle_line_async(
-                    &line,
-                    Box::new(move |response| completions.deliver((conn_id, seq, response))),
-                );
-            }
-            conn.read_buf.drain(..start);
-            conn.scanned = conn.read_buf.len();
         }
         // 4. Reap: dead connections immediately, half-closed ones once
         // every owed response has been flushed. A closed connection
@@ -471,24 +510,37 @@ fn event_loop(server: &Server, listener: &dyn Listener) -> io::Result<()> {
         }
         // 6. Sleep until the wake socket, the listener (unless
         // draining or backing off) or a connection with an interest is
-        // ready, or until a failed accept is due for a retry.
+        // ready, or until a failed accept is due for a retry; then note
+        // what was reported.
         poll_set.clear();
+        polled.clear();
         poll_set.push(sys::PollFd::new(
             completions.wake_rx.as_raw_fd(),
             sys::POLLIN,
         ));
-        if !server.is_shutting_down() && accept_failed.is_none() {
+        let listening = !server.is_shutting_down() && accept_failed.is_none();
+        if listening {
             poll_set.push(sys::PollFd::new(listener.as_raw_fd(), sys::POLLIN));
         }
-        for conn in conns.values() {
+        let first_conn = poll_set.len();
+        for (&conn_id, conn) in &conns {
             let events = conn.interest();
             if events != 0 {
                 poll_set.push(sys::PollFd::new(conn.stream.as_raw_fd(), events));
+                polled.push(conn_id);
             }
         }
         let timeout = accept_failed.map(|at| ACCEPT_RETRY.saturating_sub(at.elapsed()));
         sys::wait(&mut poll_set, timeout)?;
-        completions.drain_wakes();
+        listener_ready = listening && poll_set[1].revents() != 0;
+        for (fd, conn_id) in poll_set[first_conn..].iter().zip(&polled) {
+            if let Some(conn) = conns.get_mut(conn_id) {
+                conn.polled(fd.revents());
+            }
+        }
+        if poll_set[0].revents() != 0 {
+            completions.drain_wakes();
+        }
     }
 }
 
@@ -512,9 +564,13 @@ mod sys {
     pub(super) const POLLIN: Events = 0x1;
     /// Writable.
     pub(super) const POLLOUT: Events = 0x4;
+    /// An error is pending (reported whether asked for or not).
+    pub(super) const POLLERR: Events = 0x8;
+    /// The peer hung up (reported whether asked for or not).
+    pub(super) const POLLHUP: Events = 0x10;
 
-    /// The C `struct pollfd`. `revents` is written by the kernel and
-    /// not read back: the loop retries every socket after a wake-up.
+    /// The C `struct pollfd`. The kernel writes `revents`, which the
+    /// loop reads back to touch only the sockets that are ready.
     #[repr(C)]
     pub(super) struct PollFd {
         fd: c_int,
@@ -529,6 +585,11 @@ mod sys {
                 events,
                 revents: 0,
             }
+        }
+
+        /// What the last `poll` reported for this descriptor.
+        pub(super) fn revents(&self) -> Events {
+            self.revents
         }
     }
 

@@ -523,3 +523,64 @@ fn registry_churn_keeps_the_harness_state() {
     }
     server.shutdown();
 }
+
+/// Every plan request counts once in `cache.hits + cache.misses` and in
+/// `requests.total` and `requests.completed`, whichever thread answers
+/// it: zoo hits are answered at admission, zoo misses probe the cache
+/// there and are looked up again by a worker, and synthetic plans go to
+/// a worker either way. Admission refuses a cached zoo plan past its
+/// deadline or after shutdown has begun, as it refuses a computed one.
+#[test]
+fn plan_accounting_counts_each_request_once_on_either_route() {
+    let server = Server::start(ServerConfig::default().with_workers(1));
+    let plan = |line: &str, cached: bool| {
+        let v = parse(&server.handle_line(line));
+        assert_eq!(
+            v.get("cached").and_then(Value::as_bool),
+            Some(cached),
+            "{line}: {v:?}"
+        );
+    };
+    let alexnet = r#"{"graph":"alexnet"}"#;
+    let narrow = r#"{"graph":"alexnet","options":{"tensor_budget":2097152}}"#;
+    let synthetic = r#"{"graph":"synthetic:48x3x5"}"#;
+    let lines = [
+        (alexnet, false),
+        (alexnet, true),
+        (narrow, false),
+        (narrow, true),
+        (r#"{"graph":"squeezenet"}"#, false),
+        (r#"{"graph":"sq"}"#, true),
+        (synthetic, false),
+        (synthetic, true),
+        (r#"{"graph":"alexnet","precision":"8"}"#, false),
+        (narrow, true),
+    ];
+    for (line, cached) in lines {
+        plan(line, cached);
+    }
+    let n = lines.len() as u64;
+    let hits = stat_u64(&server, "cache", "hits");
+    let misses = stat_u64(&server, "cache", "misses");
+    assert_eq!((hits, misses), (5, 5), "one count per request");
+    assert_eq!(hits + misses, n);
+    assert_eq!(stat_u64(&server, "requests", "total"), n);
+    assert_eq!(stat_u64(&server, "requests", "completed"), n);
+
+    let expired = parse(&server.handle_line(r#"{"graph":"alexnet","deadline_ms":0,"id":1}"#));
+    assert_eq!(
+        error_code(&expired).as_deref(),
+        Some("timeout"),
+        "{expired:?}"
+    );
+    server.begin_shutdown();
+    let late = parse(&server.handle_line(alexnet));
+    assert_eq!(
+        error_code(&late).as_deref(),
+        Some("shutting_down"),
+        "{late:?}"
+    );
+    assert_eq!(stat_u64(&server, "requests", "total"), n + 2);
+    assert_eq!(stat_u64(&server, "requests", "completed"), n);
+    server.shutdown();
+}

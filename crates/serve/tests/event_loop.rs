@@ -290,3 +290,129 @@ fn client_hanging_up_mid_plan_neither_stalls_nor_spins_the_loop() {
     drop(conn);
     stop(addr, handle);
 }
+
+/// Sends one request line on `conn` and reads its reply line.
+fn request(conn: &TcpStream, line: &str) -> String {
+    let mut writer = conn;
+    writer
+        .write_all(format!("{line}\n").as_bytes())
+        .expect("send");
+    let mut reply = String::new();
+    BufReader::new(conn).read_line(&mut reply).expect("reply");
+    reply
+}
+
+fn error_code(reply: &str) -> Option<String> {
+    parse(reply)
+        .get("error")
+        .and_then(|e| e.get("code"))
+        .and_then(Value::as_str)
+        .map(str::to_string)
+}
+
+/// A plan-cache hit on a zoo net is answered by the event loop at
+/// admission: with the only worker and the only queue slot held by a
+/// stalled request, a repeated zoo plan still answers at once, byte for
+/// byte its first reply as a hit, while a repeated synthetic plan, which
+/// only a worker may build, is refused for want of a slot. Answers given
+/// at once still wait their turn behind a computing request on the same
+/// connection.
+#[test]
+fn cache_hits_are_answered_while_every_worker_is_busy() {
+    const STALL_MS: u64 = 3000;
+    let config = ServerConfig::default()
+        .with_workers(1)
+        .with_queue_capacity(1)
+        .with_debug_hooks(true);
+    let (addr, handle) = boot(config);
+    let conn = connect(addr);
+    let zoo = r#"{"graph":"alexnet","id":1}"#;
+    let synthetic = r#"{"graph":"synthetic:48x3x1","id":2}"#;
+    let primed = request(&conn, zoo);
+    assert!(primed.starts_with(r#"{"cached":false,"#), "{primed}");
+    let synthetic_primed = request(&conn, synthetic);
+    assert!(
+        synthetic_primed.starts_with(r#"{"cached":false,"#),
+        "{synthetic_primed}"
+    );
+    // A stalled request holds the worker and, at capacity 1, the queue.
+    let mut stalled = connect(addr);
+    stalled
+        .write_all(format!("{{\"graph\":\"debug:stall:{STALL_MS}\",\"id\":3}}\n").as_bytes())
+        .expect("send the stall");
+    let held = Instant::now();
+    let occupied = (0..2000).any(|_| {
+        let stats = parse(&request(&conn, r#"{"op":"stats"}"#));
+        let queue = stats.get("stats").and_then(|s| s.get("queue")).cloned();
+        let count = |field| {
+            queue
+                .as_ref()
+                .and_then(|q| q.get(field))
+                .and_then(Value::as_u64)
+                .unwrap_or(0)
+        };
+        let busy = count("depth") + count("in_flight") >= 1;
+        if !busy {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        busy
+    });
+    assert!(occupied, "the stall never occupied the queue");
+    let hit = request(&conn, zoo);
+    let answered = held.elapsed();
+    assert_eq!(
+        hit,
+        primed.replacen(r#"{"cached":false,"#, r#"{"cached":true,"#, 1),
+        "the hit is the primed reply with the flag flipped"
+    );
+    assert!(
+        answered < Duration::from_millis(STALL_MS / 3),
+        "the hit waited {answered:?} for a worker"
+    );
+    let refused = request(&conn, synthetic);
+    assert_eq!(
+        error_code(&refused).as_deref(),
+        Some("queue_full"),
+        "{refused}"
+    );
+    let mut stall_reply = String::new();
+    BufReader::new(&stalled)
+        .read_line(&mut stall_reply)
+        .expect("the stall's reply");
+    assert!(stall_reply.contains("stalled"), "{stall_reply}");
+    // A miss, a hit and a ping in one write: the hit and the ping are
+    // answered at once, yet come back after the computed miss.
+    let mut writer = &conn;
+    writer
+        .write_all(
+            concat!(
+                r#"{"graph":"alexnet","options":{"tensor_budget":1048576},"id":10}"#,
+                "\n",
+                r#"{"graph":"alexnet","id":11}"#,
+                "\n",
+                r#"{"op":"ping","id":12}"#,
+                "\n",
+            )
+            .as_bytes(),
+        )
+        .expect("send the pipeline");
+    let mut reader = BufReader::new(&conn);
+    let mut replies = Vec::new();
+    for _ in 0..3 {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("pipelined reply");
+        replies.push(parse(&line));
+    }
+    let ids: Vec<_> = replies
+        .iter()
+        .map(|v| v.get("id").and_then(Value::as_u64))
+        .collect();
+    assert_eq!(ids, [Some(10), Some(11), Some(12)], "request order");
+    let cached: Vec<_> = replies
+        .iter()
+        .map(|v| v.get("cached").and_then(Value::as_bool))
+        .collect();
+    assert_eq!(cached, [Some(false), Some(true), None]);
+    drop(stalled);
+    stop(addr, handle);
+}
