@@ -69,12 +69,16 @@ echo "==> differential audit: grid + repro corpus + 8 random seeds + tiny-SRAM s
 # on chip where streaming must change nothing (squeezenet). The full
 # zoo at the default fractions pins every net's Off plan
 # (`pinned_latency`) and Auto plan (`streaming_latency`). See
-# docs/STREAMING.md.
+# docs/STREAMING.md. The same fractions descending replan each budget
+# from the buffer sets and DNNK tables the wider ones stored (an
+# ascending sweep never backtracks nor revisits a split key); its golden
+# holds the same records as sweep_budgets_3, in its own order.
 echo "==> sweep-budgets: skewed budgets and the full zoo vs checks/golden across --jobs"
 sweep_sets=(
   "--model alexnet --fractions 1/16,1/8"
   "--model squeezenet --fractions 1/16,1/8"
   ""
+  "--fractions 1/1,1/2,1/4,1/8,1/16"
 )
 sweep_i=0
 for sweep_set in "${sweep_sets[@]}"; do

@@ -83,8 +83,8 @@ pub fn run(args: &[String]) -> Result<(), String> {
         Device::by_name(&device_name).ok_or_else(|| format!("unknown device {device_name:?}"))?;
     let mut tenants = Vec::with_capacity(models.len());
     for (i, name) in models.iter().enumerate() {
-        let graph = lcmm_graph::zoo::by_name(name)
-            .ok_or_else(|| format!("unknown model {name:?} (see `lcmm summary` for the zoo)"))?;
+        let graph = crate::opts::zoo_model(name)
+            .map_err(|err| format!("{err} (see `lcmm summary` for the zoo)"))?;
         let mut tenant = TenantSpec::new(name.clone(), graph, precision);
         if let Some(shares) = &shares {
             if shares.len() != models.len() {

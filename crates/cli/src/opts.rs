@@ -1,6 +1,7 @@
 //! Minimal flag parsing (no external dependencies).
 
 use lcmm_fpga::Precision;
+use lcmm_graph::zoo::NameError;
 use lcmm_graph::Graph;
 
 /// Parsed command-line options.
@@ -134,8 +135,7 @@ impl Opts {
 
     /// Resolves `--model`, defaulting to `default_name`.
     pub fn model_or(&self, default_name: &str) -> Result<Graph, String> {
-        let name = self.model.as_deref().unwrap_or(default_name);
-        lcmm_graph::zoo::by_name(name).ok_or_else(|| format!("unknown model {name:?}"))
+        zoo_model(self.model.as_deref().unwrap_or(default_name))
     }
 
     /// Resolves `--precision`, defaulting to `default`.
@@ -153,10 +153,7 @@ impl Opts {
     /// The models to report on: `--model` or the whole benchmark suite.
     pub fn models_or_suite(&self) -> Result<Vec<lcmm_graph::Graph>, String> {
         match &self.model {
-            Some(name) => {
-                Ok(vec![lcmm_graph::zoo::by_name(name)
-                    .ok_or_else(|| format!("unknown model {name:?}"))?])
-            }
+            Some(name) => Ok(vec![zoo_model(name)?]),
             None => Ok(lcmm_graph::zoo::benchmark_suite()),
         }
     }
@@ -168,6 +165,15 @@ impl Opts {
             None => Precision::ALL.to_vec(),
         }
     }
+}
+
+/// Builds the zoo net or `synthetic:` spec `name`; the error names it,
+/// and says so when a spec asks for more nodes than the cap.
+pub fn zoo_model(name: &str) -> Result<Graph, String> {
+    lcmm_graph::zoo::try_by_name(name).map_err(|err| match err {
+        NameError::Unknown => format!("unknown model {name:?}"),
+        NameError::TooDeep(_) => format!("model {name:?}: {err}"),
+    })
 }
 
 #[cfg(test)]

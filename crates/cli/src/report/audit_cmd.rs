@@ -14,14 +14,13 @@ use crate::opts::Opts;
 use crate::table::Table;
 use lcmm_core::pipeline::AllocatorKind;
 use lcmm_fpga::Precision;
-use lcmm_graph::zoo;
 use lcmm_sim::audit::{default_grid, run_audit, AuditOptions};
 
 /// Runs the audit.
 pub fn run(opts: &Opts) -> Result<(), String> {
     let grid: Vec<(String, Precision, AllocatorKind)> = match &opts.model {
         Some(name) => {
-            zoo::by_name(name).ok_or_else(|| format!("unknown model {name:?}"))?;
+            crate::opts::zoo_model(name)?;
             vec![(
                 name.clone(),
                 opts.precision_or(Precision::Fix16),

@@ -10,7 +10,7 @@ use lcmm_graph::analysis::summarize;
 pub fn run(opts: &Opts, harness: &Harness) -> Result<(), String> {
     let models = match &opts.model {
         Some(name) => {
-            vec![lcmm_graph::zoo::by_name(name).ok_or_else(|| format!("unknown model {name:?}"))?]
+            vec![crate::opts::zoo_model(name)?]
         }
         None => vec![
             lcmm_graph::zoo::alexnet(),

@@ -11,7 +11,7 @@ pub fn run(opts: &Opts) -> Result<(), String> {
     let device = Device::vu9p();
     let models = match &opts.model {
         Some(name) => {
-            vec![lcmm_graph::zoo::by_name(name).ok_or_else(|| format!("unknown model {name:?}"))?]
+            vec![crate::opts::zoo_model(name)?]
         }
         None => lcmm_graph::zoo::benchmark_suite(),
     };

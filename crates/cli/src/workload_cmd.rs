@@ -98,12 +98,8 @@ pub fn run(args: &[String]) -> Result<(), String> {
         Device::by_name(&device_name).ok_or_else(|| format!("unknown device {device_name:?}"))?;
     let mut tenants = Vec::with_capacity(models.len());
     for name in &models {
-        let graph = lcmm_graph::zoo::by_name(name).ok_or_else(|| {
-            format!(
-                "unknown model {name:?} (zoo: {})",
-                lcmm_graph::zoo::names().join(", ")
-            )
-        })?;
+        let graph = crate::opts::zoo_model(name)
+            .map_err(|err| format!("{err} (zoo: {})", lcmm_graph::zoo::names().join(", ")))?;
         tenants.push(TenantSpec::new(name.clone(), graph, precision));
     }
     let harness = Harness::new(jobs.unwrap_or_else(|| {

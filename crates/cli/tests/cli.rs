@@ -32,6 +32,18 @@ fn unknown_model_fails_cleanly() {
 }
 
 #[test]
+fn synthetic_spec_past_the_depth_cap_fails_naming_it() {
+    let out = lcmm()
+        .args(["roofline", "--model", "synthetic:4097x3x1"])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("\"synthetic:4097x3x1\""), "{stderr}");
+    assert!(stderr.contains("exceeds the cap of 4096 nodes"), "{stderr}");
+}
+
+#[test]
 fn summary_lists_the_zoo() {
     let out = lcmm().arg("summary").output().expect("binary runs");
     assert!(out.status.success());

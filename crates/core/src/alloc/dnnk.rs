@@ -15,7 +15,7 @@
 //! re-scored with the exact evaluator.
 
 use super::{capacity_units, AllocOutcome, AllocProblem, CAPACITY_UNIT_BYTES};
-use crate::interference::FalseEdge;
+use crate::interference::{FalseEdge, VirtualBuffer};
 use crate::prefetch::WeightMode;
 use crate::profiling;
 use crate::value::ValueId;
@@ -214,22 +214,80 @@ impl ChoiceTable {
     }
 }
 
-/// Most keys one [`TableMemo`] stores. Past it, the DP of a buffer set
-/// with no stored table runs without storing, so an artifact set's
-/// table storage stays bounded however many budgets replan through it.
-pub(crate) const MAX_STORED_TABLES: usize = 32;
+/// Most keys one [`TableMemo`] stores, each with its buffer set and at
+/// most one table. Past it, a new key's buffer set is colored, and its
+/// DP run, without being stored, so an artifact set's memo stays bounded
+/// however many budgets replan through it.
+pub const MAX_STORED_TABLES: usize = 32;
 
-/// The DNNK choice tables of one artifact set, keyed by the sorted false
-/// edges the split loop added to the initial coloring (the empty key is
-/// the initial coloring): the buffer set, and with it every DP row, is a
-/// function of that key, and the budget decides only the table width.
-/// Each key keeps its widest table.
+/// What one key of a [`TableMemo`] stores: the buffer set the key's
+/// graphs color into, and the widest DNNK choice table filled over it
+/// once an `allocator: dnnk` allocation or a gain curve ran its DP.
+#[derive(Debug)]
+struct KeyEntry {
+    buffers: Arc<[VirtualBuffer]>,
+    table: Option<Arc<ChoiceTable>>,
+}
+
+/// The split-key memo of one artifact set: buffer sets and DNNK choice
+/// tables, keyed by the sorted false edges the split loop added to the
+/// initial coloring (the empty key is the initial coloring). The buffer
+/// set, and with it every DP row, is a function of that key, and the
+/// budget decides only the table width. Each key keeps its buffer set
+/// and its widest table.
 #[derive(Debug, Default)]
 pub(crate) struct TableMemo {
-    tables: Mutex<HashMap<Vec<FalseEdge>, Arc<ChoiceTable>>>,
+    entries: Mutex<HashMap<Vec<FalseEdge>, KeyEntry>>,
+}
+
+/// What a [`TableMemo`] holds (see [`crate::PlanArtifacts::memo_footprint`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemoFootprint {
+    /// Keys stored, each with its buffer set; at most
+    /// [`MAX_STORED_TABLES`].
+    pub keys: usize,
+    /// Keys that also hold a DNNK choice table.
+    pub tables: usize,
+    /// Heap bytes of the stored buffer sets and their keys.
+    pub buffer_bytes: usize,
+    /// Heap bytes of the stored tables.
+    pub table_bytes: usize,
 }
 
 impl TableMemo {
+    /// The buffer set of `edges`: the stored one, or else `color()`'s,
+    /// which is stored if the memo has room. Coloring runs outside the
+    /// lock; two threads may color one key at once, and equal keys give
+    /// equal sets, so it does not matter which one stores first.
+    pub(crate) fn buffers(
+        &self,
+        edges: &[FalseEdge],
+        color: impl FnOnce() -> Vec<VirtualBuffer>,
+    ) -> Arc<[VirtualBuffer]> {
+        if let Some(entry) = self.lock().get(edges) {
+            return Arc::clone(&entry.buffers);
+        }
+        let mut colored = color();
+        // A stored set lives as long as the artifact set: drop the
+        // spare capacity coloring leaves in each member list.
+        for buffer in &mut colored {
+            buffer.members.shrink_to_fit();
+        }
+        let buffers: Arc<[VirtualBuffer]> = colored.into();
+        let mut entries = self.lock();
+        if let Some(entry) = entries.get(edges) {
+            return Arc::clone(&entry.buffers);
+        }
+        if entries.len() < MAX_STORED_TABLES {
+            let entry = KeyEntry {
+                buffers: Arc::clone(&buffers),
+                table: None,
+            };
+            entries.insert(edges.to_vec(), entry);
+        }
+        buffers
+    }
+
     /// [`allocate`] for a problem whose buffers are the coloring under
     /// `edges`: a backtrack from the stored table when it is wide enough
     /// for the budget; otherwise the DP [`allocate`] runs, whose table is
@@ -240,7 +298,7 @@ impl TableMemo {
         if n == 0 || units == 0 {
             return AllocOutcome::from_chosen(problem, vec![false; n]);
         }
-        let stored = self.lock().get(edges).cloned();
+        let stored = self.lock().get(edges).and_then(|e| e.table.clone());
         if let Some(table) = stored.filter(|t| t.units >= units) {
             profiling::count_dnnk_table_hit();
             return backtrack(problem, &table, units);
@@ -251,29 +309,41 @@ impl TableMemo {
         outcome
     }
 
-    /// Keeps `table` for `edges` if it is wider than the stored table,
-    /// or if the key is new and the memo has room for it.
+    /// Keeps `table` for `edges` if the key's buffer set is stored and
+    /// the table is wider than the key's stored table, if any.
     pub(crate) fn offer(&self, edges: &[FalseEdge], table: ChoiceTable) {
-        let mut tables = self.lock();
-        let room = tables.len() < MAX_STORED_TABLES;
-        match tables.get_mut(edges) {
-            Some(stored) if table.units > stored.units => *stored = Arc::new(table),
-            Some(_) => {}
-            None if room => {
-                tables.insert(edges.to_vec(), Arc::new(table));
+        if let Some(entry) = self.lock().get_mut(edges) {
+            if entry.table.as_ref().is_none_or(|t| table.units > t.units) {
+                entry.table = Some(Arc::new(table));
             }
-            None => {}
         }
     }
 
-    /// `(stored tables, bytes they occupy)`.
-    pub(crate) fn footprint(&self) -> (usize, usize) {
-        let tables = self.lock();
-        (tables.len(), tables.values().map(|t| t.heap_bytes()).sum())
+    pub(crate) fn footprint(&self) -> MemoFootprint {
+        use std::mem::size_of;
+        let entries = self.lock();
+        let set_bytes = |(key, entry): (&Vec<FalseEdge>, &KeyEntry)| {
+            key.len() * size_of::<FalseEdge>()
+                + entry
+                    .buffers
+                    .iter()
+                    .map(|b| size_of::<VirtualBuffer>() + b.members.len() * size_of::<ValueId>())
+                    .sum::<usize>()
+        };
+        MemoFootprint {
+            keys: entries.len(),
+            tables: entries.values().filter(|e| e.table.is_some()).count(),
+            buffer_bytes: entries.iter().map(set_bytes).sum(),
+            table_bytes: entries
+                .values()
+                .filter_map(|e| e.table.as_ref())
+                .map(|t| t.heap_bytes())
+                .sum(),
+        }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<Vec<FalseEdge>, Arc<ChoiceTable>>> {
-        self.tables.lock().expect("table memo poisoned")
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<Vec<FalseEdge>, KeyEntry>> {
+        self.entries.lock().expect("table memo poisoned")
     }
 }
 
@@ -771,8 +841,16 @@ mod tests {
         let bufs = singleton_buffers(&g, &ev);
         let plan = PrefetchPlan::default();
         let memo = TableMemo::default();
+        let colorings = std::cell::Cell::new(0);
         let at = |units: u64| AllocProblem::new(&ev, &bufs, units * CAPACITY_UNIT_BYTES, &plan);
+        // The split loop's order: the key's buffer set, then its
+        // allocation. A table is kept only beside a stored buffer set.
         let hits_of = |problem: &AllocProblem<'_>, edges: &[FalseEdge]| {
+            let set = memo.buffers(edges, || {
+                colorings.set(colorings.get() + 1);
+                bufs.clone()
+            });
+            assert_eq!(&set[..], &bufs[..]);
             crate::profiling::reset_counters();
             let out = memo.allocate(problem, edges);
             let c = crate::profiling::snapshot_counters();
@@ -788,20 +866,32 @@ mod tests {
         assert!(matches!(hits_of(&at(41), &[]), (0, cells) if cells > 0));
         assert!(matches!(hits_of(&at(80), &[]), (0, cells) if cells > 0));
         assert_eq!(hits_of(&at(60), &[]), (1, 0));
-        assert_eq!(memo.footprint().0, 1);
+        assert_eq!(colorings.get(), 1, "a stored buffer set is read");
+        let footprint = memo.footprint();
+        assert_eq!((footprint.keys, footprint.tables), (1, 1));
         // Other keys fill the memo up to its cap; past it, a new key's
-        // DP runs without being stored.
+        // buffer set is colored, and its DP run, without being stored.
         let edge = |k: usize| {
             let v = ValueId::Feature(NodeId::new(k));
             (v, ValueId::Weight(NodeId::new(k)))
         };
         for k in 1..MAX_STORED_TABLES + 4 {
-            memo.allocate(&at(20), &[edge(k)]);
+            hits_of(&at(20), &[edge(k)]);
         }
-        assert_eq!(memo.footprint().0, MAX_STORED_TABLES);
+        let footprint = memo.footprint();
+        assert_eq!(footprint.keys, MAX_STORED_TABLES);
+        assert_eq!(footprint.tables, MAX_STORED_TABLES);
+        assert!(footprint.buffer_bytes > 0 && footprint.table_bytes > 0);
+        let colored = colorings.get();
         let past_cap = [edge(MAX_STORED_TABLES + 2)];
         assert!(matches!(hits_of(&at(10), &past_cap), (0, cells) if cells > 0));
+        assert_eq!(
+            colorings.get(),
+            colored + 1,
+            "past the cap, every call colors"
+        );
         assert_eq!(hits_of(&at(10), &[edge(1)]), (1, 0));
+        assert_eq!(colorings.get(), colored + 1);
     }
 
     #[test]

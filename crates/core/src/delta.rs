@@ -26,12 +26,13 @@
 //! See `docs/DELTA.md` for the artifact keys, the invariance argument,
 //! and the invalidation rules the harness layers on top.
 
-use crate::alloc::dnnk::{self, TableMemo};
+use crate::alloc::dnnk::{self, MemoFootprint, TableMemo};
 use crate::alloc::AllocProblem;
 use crate::cancel::{check_opt, CancelToken};
 use crate::coplan::{GainCurve, CAPACITY_UNIT_BYTES};
 use crate::error::LcmmError;
 use crate::eval::Evaluator;
+use crate::interference::VirtualBuffer;
 use crate::pipeline::{
     build_front_end, run_back_end, AllocatorKind, FrontEnd, LcmmOptions, Pipeline,
 };
@@ -46,8 +47,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Budget-invariant pass artifacts for one `(graph, design, options)`
-/// point, plus a per-pool memo of DNNK gain curves and a memo of DNNK
-/// choice tables that budget-only replans backtrack from.
+/// point, plus a per-pool memo of DNNK gain curves and a split-key memo
+/// of the buffer sets and DNNK choice tables that budget-only replans
+/// read instead of recoloring and backtrack from.
 ///
 /// The stored options have `tensor_budget` normalised to `None`: the
 /// budget is the one degree of freedom a replay varies, so two requests
@@ -67,9 +69,8 @@ pub struct PlanArtifacts {
     pub(crate) front: FrontEnd,
     graph_name: String,
     graph_nodes: usize,
-    colored: std::sync::OnceLock<Vec<crate::interference::VirtualBuffer>>,
     curves: Mutex<HashMap<u64, Arc<GainCurve>>>,
-    pub(crate) tables: TableMemo,
+    pub(crate) memo: TableMemo,
     /// Whether [`Self::take_front_end_seconds`] has handed out the build's
     /// pass 1–2 timings.
     front_end_reported: AtomicBool,
@@ -123,9 +124,8 @@ impl PlanArtifacts {
             front,
             graph_name: graph.name().to_string(),
             graph_nodes: graph.len(),
-            colored: std::sync::OnceLock::new(),
             curves: Mutex::new(HashMap::new()),
-            tables: TableMemo::default(),
+            memo: TableMemo::default(),
             front_end_reported: AtomicBool::new(false),
         })
     }
@@ -178,11 +178,12 @@ impl PlanArtifacts {
         Ok(())
     }
 
-    /// The initial coloring of the cached interference graphs, computed
-    /// once per artifact set.
-    pub(crate) fn initial_buffers(&self) -> &[crate::interference::VirtualBuffer] {
-        self.colored
-            .get_or_init(|| color_all(&self.front.feature_graph, &self.front.weight_graph))
+    /// The initial coloring of the cached interference graphs: the split
+    /// memo's empty key, colored the first time any route asks for it.
+    pub(crate) fn initial_buffers(&self) -> Arc<[VirtualBuffer]> {
+        self.memo.buffers(&[], || {
+            color_all(&self.front.feature_graph, &self.front.weight_graph)
+        })
     }
 
     /// Replays passes 3–4 + reporting at `budget` (bytes; `None` = the
@@ -191,7 +192,9 @@ impl PlanArtifacts {
     /// Bit-identical to running [`crate::PlanRequest`] from scratch
     /// with the same design and `options.with_tensor_budget(budget)`:
     /// that request replays its budget on a throwaway artifact set built
-    /// exactly like this one. Under `allocator: dnnk`, each allocation
+    /// exactly like this one. Each buffer set the split loop reaches is
+    /// read from the set's memo if an earlier replan stored it, and
+    /// colored otherwise. Under `allocator: dnnk`, each allocation
     /// whose buffer set has a stored choice table at least as wide as
     /// the budget is a backtrack from it; any other allocation runs the
     /// DP a fresh set runs and offers its table to the memo (see
@@ -240,10 +243,10 @@ impl PlanArtifacts {
             .then_some((self.front.liveness_seconds, self.front.prefetch_seconds))
     }
 
-    /// `(tables, bytes)` of the DNNK choice tables stored for replans.
+    /// The buffer sets and DNNK choice tables stored for replans.
     #[must_use]
-    pub fn table_footprint(&self) -> (usize, usize) {
-        self.tables.footprint()
+    pub fn memo_footprint(&self) -> MemoFootprint {
+        self.memo.footprint()
     }
 
     /// The tenant's DNNK gain curve against a capacity pool of
@@ -270,15 +273,16 @@ impl PlanArtifacts {
             GainCurve::from_values(wider.values()[..=units].to_vec())
         } else {
             let evaluator = Evaluator::new(graph, self.effective_profile());
+            let buffers = self.initial_buffers();
             let problem = AllocProblem::with_streaming(
                 &evaluator,
-                self.initial_buffers(),
+                &buffers,
                 pool_bytes,
                 &self.front.prefetch,
                 self.options.weight_streaming,
             );
             // Only `allocator: dnnk` replans read the memo.
-            let memo = (self.options.allocator == AllocatorKind::Dnnk).then_some(&self.tables);
+            let memo = (self.options.allocator == AllocatorKind::Dnnk).then_some(&self.memo);
             GainCurve::from_values(dnnk::gain_curve(&problem, memo))
         };
         let curve = Arc::new(curve);
@@ -469,7 +473,8 @@ mod tests {
         let artifacts = PlanArtifacts::build(&g, base(&g), LcmmOptions::default(), None).unwrap();
         let full = artifacts.design().tensor_sram_budget();
         artifacts.gain_curve(&g, full).unwrap();
-        assert_eq!(artifacts.table_footprint().0, 1);
+        let footprint = artifacts.memo_footprint();
+        assert_eq!((footprint.keys, footprint.tables), (1, 1));
         let replan = artifacts
             .replan_with_budget(&g, Some(full / 2), None)
             .unwrap();

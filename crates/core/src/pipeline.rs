@@ -426,23 +426,24 @@ pub(crate) fn run_back_end(
     let front = &artifacts.front;
 
     // --- Pass 3 + 4: DNNK allocation with splitting ------------------
-    // The initial coloring is memoized per artifact set: the first run
-    // on a set colors here, so the coloring is timed inside the pass.
+    // Buffer sets are memoized per artifact set and split key: the first
+    // run on a set colors here, so the coloring is timed inside the pass.
     let t_pass = Instant::now();
-    let buffers = artifacts.initial_buffers().to_vec();
     // The exact allocator enumerates 2^n subsets: refuse a buffer set it
     // cannot enumerate instead of planning it with the empty allocation.
-    if options.allocator == AllocatorKind::Exhaustive && buffers.len() > exhaustive::MAX_BUFFERS {
-        return Err(LcmmError::InvalidRequest(format!(
-            "exhaustive allocator limited to {} buffers, got {}",
-            exhaustive::MAX_BUFFERS,
-            buffers.len()
-        )));
+    if options.allocator == AllocatorKind::Exhaustive {
+        let buffers = artifacts.initial_buffers().len();
+        if buffers > exhaustive::MAX_BUFFERS {
+            return Err(LcmmError::InvalidRequest(format!(
+                "exhaustive allocator limited to {} buffers, got {buffers}",
+                exhaustive::MAX_BUFFERS,
+            )));
+        }
     }
     // `allocator: dnnk` calls backtrack from the set's stored DNNK
     // tables where one is wide enough (see `docs/DELTA.md`).
     let allocate = |problem: &AllocProblem<'_>, edges: &[FalseEdge]| match options.allocator {
-        AllocatorKind::Dnnk => artifacts.tables.allocate(problem, edges),
+        AllocatorKind::Dnnk => artifacts.memo.allocate(problem, edges),
         AllocatorKind::DnnkIterative => dnnk_iterative::allocate(problem),
         AllocatorKind::Greedy => greedy::allocate(problem),
         AllocatorKind::Exhaustive => exhaustive::allocate(problem),
@@ -461,7 +462,7 @@ pub(crate) fn run_back_end(
         feature_graph: &front.feature_graph,
         weight_graph: &front.weight_graph,
     };
-    let result = refine_from(&split_inputs, buffers, &allocate, split_config);
+    let result = refine_from(&split_inputs, &artifacts.memo, &allocate, split_config);
     let alloc_split_seconds = t_pass.elapsed().as_secs_f64();
     check_opt(cancel)?;
 

@@ -8,7 +8,14 @@
 //! spilled buffer, forcing a re-color to separate the size-defining
 //! tensor from a valuable small member, and retries allocation. Each
 //! iteration is kept only if end-to-end latency improves.
+//!
+//! Every buffer set the loop reaches is keyed by the sorted false edges
+//! added so far (the empty key is the initial coloring). An artifact
+//! set's memo stores each key's set beside its DNNK table, so a later
+//! budget whose loop reaches the same key reads the set instead of
+//! recoloring (`docs/DELTA.md`, "The DNNK table memo").
 
+use crate::alloc::dnnk::TableMemo;
 use crate::alloc::{AllocOutcome, AllocProblem};
 use crate::eval::{Evaluator, Residency};
 use crate::interference::{false_edge, FalseEdge, InterferenceGraph, VirtualBuffer};
@@ -98,14 +105,23 @@ pub fn refine(
         feature_graph: &feature_graph,
         weight_graph: &weight_graph,
     };
-    let buffers = color_all(&feature_graph, &weight_graph);
-    refine_from(&inputs, buffers, &|problem, _| allocator(problem), config)
+    // One loop never revisits a key, so a throwaway memo stores nothing
+    // this run reads again.
+    refine_from(
+        &inputs,
+        &TableMemo::default(),
+        &|problem, _| allocator(problem),
+        config,
+    )
 }
 
-/// [`refine`] from the initial coloring `buffers` of the input graphs.
+/// [`refine`] against an artifact set's split-key memo: the buffer set
+/// of every key the loop reaches (the sorted false edges it added, the
+/// empty key being the initial coloring) is read from `memo` when
+/// stored, and otherwise colored and offered to it.
 pub(crate) fn refine_from(
     inputs: &SplitInputs<'_>,
-    mut buffers: Vec<VirtualBuffer>,
+    memo: &TableMemo,
     allocate: &Allocate<'_>,
     config: SplitConfig,
 ) -> SplitResult {
@@ -120,9 +136,26 @@ pub(crate) fn refine_from(
         profiling::count_allocator_invocation();
         allocate(&problem, edges)
     };
+    // The graphs a key is colored from: the inputs, each cloned the
+    // first time it takes a false edge. Keys read from the memo leave
+    // them behind, so before coloring, the key's edges are added to
+    // them, which is a no-op for edges already there. They never hold an
+    // edge outside the key: every edge they took belongs to a key the
+    // loop accepted or to the one it is trying, and a rejected split
+    // ends the loop.
     let mut feature_graph = Cow::Borrowed(inputs.feature_graph);
     let mut weight_graph = Cow::Borrowed(inputs.weight_graph);
+    let mut color_key = |edges: &[FalseEdge]| {
+        for &(a, b) in edges {
+            match a.kind() {
+                ValueKind::Feature => feature_graph.to_mut().add_false_edge(a, b),
+                ValueKind::Weight => weight_graph.to_mut().add_false_edge(a, b),
+            }
+        }
+        color_all(&feature_graph, &weight_graph)
+    };
     let mut edges: Vec<FalseEdge> = Vec::new();
+    let mut buffers = memo.buffers(&edges, || color_key(&edges));
     let mut best = allocate_for(&buffers, &edges);
     let mut iterations = 0;
 
@@ -131,26 +164,17 @@ pub(crate) fn refine_from(
         else {
             break;
         };
-        // Tentatively add the false edge in the owning graph.
-        let mut fg = feature_graph.clone();
-        let mut wg = weight_graph.clone();
-        match a.kind() {
-            ValueKind::Feature => fg.to_mut().add_false_edge(a, b),
-            ValueKind::Weight => wg.to_mut().add_false_edge(a, b),
-        }
         let edge = false_edge(a, b);
         let mut new_edges = edges.clone();
         if let Err(at) = new_edges.binary_search(&edge) {
             new_edges.insert(at, edge);
         }
-        let new_buffers = color_all(&fg, &wg);
+        let new_buffers = memo.buffers(&new_edges, || color_key(&new_edges));
         let candidate = allocate_for(&new_buffers, &new_edges);
         if candidate.latency < best.latency {
             profiling::count_split_accepted();
             best = candidate;
             buffers = new_buffers;
-            feature_graph = fg;
-            weight_graph = wg;
             edges = new_edges;
             iterations += 1;
         } else {
@@ -161,7 +185,7 @@ pub(crate) fn refine_from(
 
     SplitResult {
         outcome: best,
-        buffers,
+        buffers: buffers.to_vec(),
         iterations,
     }
 }

@@ -5,6 +5,7 @@
 //! identically at any `--jobs` setting and never serve stale artifacts
 //! across an invalidation.
 
+use lcmm_core::alloc::dnnk::MAX_STORED_TABLES;
 use lcmm_core::{AllocatorKind, Harness, LcmmOptions, LcmmResult, PlanArtifacts, PlanRequest};
 use lcmm_fpga::{AccelDesign, Device, Precision};
 use lcmm_graph::{zoo, Graph};
@@ -330,12 +331,14 @@ proptest! {
     }
 }
 
-/// The table memo on zoo nets where the split loop accepts splits: 24
-/// budgets ascending, descending and in two random orders, streaming
+/// The split-key memo on zoo nets where the split loop accepts splits:
+/// 24 budgets ascending, descending and in two random orders, streaming
 /// off and auto. Every replan equals its scratch plan and splits are
 /// accepted along the way, so tables keyed by false edges are stored
 /// too. Ascending budgets never backtrack — each is wider than every
-/// stored table — while every other order does.
+/// stored table — while every other order does. Replaying the same
+/// budgets through the same set then finds every buffer set and table
+/// it needs stored: it colors nothing and runs no DP.
 #[test]
 fn table_memo_replans_match_scratch_with_accepted_splits() {
     for (net, streaming) in [
@@ -371,11 +374,36 @@ fn table_memo_replans_match_scratch_with_accepted_splits() {
                 assert!(hits > 0, "{net} order {i}: no allocation backtracked");
             }
             assert!(splits > 0, "{net} order {i}: no split accepted");
-            let (tables, _) = artifacts.table_footprint();
+            let footprint = artifacts.memo_footprint();
             assert!(
-                tables > 1,
+                footprint.tables > 1,
                 "{net} order {i}: only the initial coloring stored"
             );
+            // Under the cap, every key the first pass reached was stored.
+            assert!(
+                footprint.keys < MAX_STORED_TABLES,
+                "{net} order {i}: {} keys reach the memo's cap",
+                footprint.keys
+            );
+            for &budget in order {
+                let r = artifacts
+                    .replan_with_budget(&g, Some(budget), None)
+                    .unwrap();
+                assert_eq!(
+                    plan_bits(&r),
+                    expected[&budget],
+                    "{net} order {i}: replayed budget {budget} diverged"
+                );
+                assert_eq!(
+                    r.stats.coloring_seconds, 0.0,
+                    "{net} order {i}: replayed budget {budget} recolored"
+                );
+                assert_eq!(
+                    r.stats.dnnk_dp_cells, 0,
+                    "{net} order {i}: replayed budget {budget} ran a DP"
+                );
+            }
+            assert_eq!(artifacts.memo_footprint(), footprint);
         }
     }
 }

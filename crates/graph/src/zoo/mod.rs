@@ -100,6 +100,51 @@ pub fn names() -> &'static [&'static str] {
     &NAMES
 }
 
+/// Most nodes a `synthetic` spec may ask for: the largest `depth` that
+/// [`by_name`] builds and a serve request may name. A graph costs build
+/// time and memory linear in its depth, and the serve daemon builds a
+/// registered graph on its event loop, so a spec is checked against this
+/// before anything is built. It covers every spec the repository sends
+/// (3072 nodes at most) and the 4096-node scale benches.
+pub const MAX_SYNTHETIC_DEPTH: usize = 4096;
+
+/// Why [`try_by_name`] built no graph.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NameError {
+    /// Neither a zoo net nor a well-formed `synthetic` spec.
+    Unknown,
+    /// A `synthetic` spec asking for more than [`MAX_SYNTHETIC_DEPTH`]
+    /// nodes (the depth it asked for).
+    TooDeep(usize),
+}
+
+impl std::fmt::Display for NameError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            NameError::Unknown => f.write_str("not a zoo net or a synthetic spec"),
+            NameError::TooDeep(depth) => write!(
+                f,
+                "synthetic depth {depth} exceeds the cap of {MAX_SYNTHETIC_DEPTH} nodes"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for NameError {}
+
+/// Checks the depth a synthetic graph asks for against
+/// [`MAX_SYNTHETIC_DEPTH`].
+///
+/// # Errors
+///
+/// [`NameError::TooDeep`] past the cap.
+pub fn check_synthetic_depth(depth: usize) -> Result<(), NameError> {
+    if depth > MAX_SYNTHETIC_DEPTH {
+        return Err(NameError::TooDeep(depth));
+    }
+    Ok(())
+}
+
 /// Builds a model by its short name, as used by the CLI.
 ///
 /// Recognised names: `alexnet`, `vgg16`, `resnet50`, `resnet101`,
@@ -108,38 +153,59 @@ pub fn names() -> &'static [&'static str] {
 /// (e.g. `synthetic:1024x4x7`), optionally width-scaled with an
 /// `@<percent>` suffix (e.g. `synthetic:1024x4x7@50`) and/or tilted
 /// toward residual diamonds with a `+res` suffix (e.g.
-/// `synthetic:1024x4x7@50+res`, see [`synthetic_shortcut`]).
+/// `synthetic:1024x4x7@50+res`, see [`synthetic_shortcut`]). A
+/// `synthetic` depth is at most [`MAX_SYNTHETIC_DEPTH`].
 ///
 /// Named models are built once per process and returned as clones;
 /// `synthetic` specs are built on every call.
 #[must_use]
 pub fn by_name(name: &str) -> Option<Graph> {
-    if let Some(spec) = name
+    try_by_name(name).ok()
+}
+
+/// [`by_name`], saying why it built nothing. A `synthetic` spec past
+/// [`MAX_SYNTHETIC_DEPTH`] is refused before anything is built.
+///
+/// # Errors
+///
+/// [`NameError::TooDeep`] for a spec past the cap,
+/// [`NameError::Unknown`] for any other name [`by_name`] rejects.
+pub fn try_by_name(name: &str) -> Result<Graph, NameError> {
+    let Some(spec) = name
         .strip_prefix("synthetic:")
         .or_else(|| name.strip_prefix("synthetic_"))
-    {
-        let (spec, shortcut) = match spec.strip_suffix("+res") {
-            Some(head) => (head, true),
-            None => (spec, false),
-        };
-        let (spec, width_percent) = match spec.split_once('@') {
-            Some((head, scale)) => (head, scale.parse().ok()?),
-            None => (spec, 100),
-        };
-        let mut parts = spec.split('x');
-        let depth: usize = parts.next()?.parse().ok()?;
-        let branching: usize = parts.next()?.parse().ok()?;
-        let seed: u64 = parts.next()?.parse().ok()?;
-        if parts.next().is_some() || depth == 0 || width_percent == 0 {
-            return None;
-        }
-        return Some(if shortcut {
-            synthetic_shortcut(depth, branching, seed, width_percent)
-        } else {
-            synthetic_scaled(depth, branching, seed, width_percent)
-        });
+    else {
+        return index_of(name).map(built).ok_or(NameError::Unknown);
+    };
+    let (depth, branching, seed, width_percent, shortcut) =
+        parse_synthetic(spec).ok_or(NameError::Unknown)?;
+    check_synthetic_depth(depth)?;
+    Ok(if shortcut {
+        synthetic_shortcut(depth, branching, seed, width_percent)
+    } else {
+        synthetic_scaled(depth, branching, seed, width_percent)
+    })
+}
+
+/// `(depth, branching, seed, width percent, shortcut)` of a synthetic
+/// spec without its `synthetic:` prefix; `None` if it is malformed.
+fn parse_synthetic(spec: &str) -> Option<(usize, usize, u64, usize, bool)> {
+    let (spec, shortcut) = match spec.strip_suffix("+res") {
+        Some(head) => (head, true),
+        None => (spec, false),
+    };
+    let (spec, width_percent) = match spec.split_once('@') {
+        Some((head, scale)) => (head, scale.parse().ok()?),
+        None => (spec, 100),
+    };
+    let mut parts = spec.split('x');
+    let depth: usize = parts.next()?.parse().ok()?;
+    let branching: usize = parts.next()?.parse().ok()?;
+    let seed: u64 = parts.next()?.parse().ok()?;
+    if parts.next().is_some() || depth == 0 || width_percent == 0 {
+        return None;
     }
-    index_of(name).map(built)
+    Some((depth, branching, seed, width_percent, shortcut))
 }
 
 /// The named model `name` (an alias as [`by_name`] accepts it) if this
@@ -190,6 +256,31 @@ mod tests {
         assert!(by_name("synthetic:0x4x7").is_none(), "zero depth");
         assert!(by_name("synthetic:ax4x7").is_none(), "non-numeric");
         assert!(by_name("synthetic:1x2x3x4").is_none(), "extra field");
+    }
+
+    #[test]
+    fn synthetic_specs_past_the_depth_cap_build_nothing() {
+        let at_cap = format!("synthetic:{MAX_SYNTHETIC_DEPTH}x4x424242");
+        assert!(by_name(&at_cap).unwrap().len() >= MAX_SYNTHETIC_DEPTH);
+        let past = MAX_SYNTHETIC_DEPTH + 1;
+        for spec in [
+            format!("synthetic:{past}x4x424242"),
+            format!("synthetic_{past}x2x7@50+res"),
+            "synthetic:99999999x9x1".to_string(),
+        ] {
+            let depth = spec[10..].split('x').next().unwrap().parse().unwrap();
+            assert_eq!(try_by_name(&spec).err(), Some(NameError::TooDeep(depth)));
+            assert!(by_name(&spec).is_none(), "{spec}");
+        }
+        assert_eq!(try_by_name("lenet").err(), Some(NameError::Unknown));
+        assert_eq!(
+            try_by_name("synthetic:0x4x7").err(),
+            Some(NameError::Unknown)
+        );
+        assert_eq!(
+            NameError::TooDeep(past).to_string(),
+            format!("synthetic depth {past} exceeds the cap of 4096 nodes")
+        );
     }
 
     #[test]

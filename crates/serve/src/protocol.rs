@@ -13,6 +13,7 @@ use lcmm_core::{
     WeightMode, STREAM_PING_PONG_BYTES,
 };
 use lcmm_fpga::{Device, Precision};
+use lcmm_graph::zoo::NameError;
 use lcmm_graph::Graph;
 use serde_json::Value;
 
@@ -61,16 +62,17 @@ pub enum GraphSpec {
 }
 
 impl GraphSpec {
-    /// Builds the graph this spec names.
+    /// Builds the graph this spec names. A synthetic graph deeper than
+    /// [`lcmm_graph::zoo::MAX_SYNTHETIC_DEPTH`] is refused before
+    /// anything is built.
     ///
     /// # Errors
     ///
-    /// [`LcmmError::UnknownModel`] for unresolvable names.
+    /// [`LcmmError::UnknownModel`] for unresolvable names,
+    /// [`LcmmError::InvalidRequest`] for a synthetic graph past the cap.
     pub fn resolve(&self) -> Result<Graph, LcmmError> {
         match self {
-            GraphSpec::Named(name) => {
-                lcmm_graph::zoo::by_name(name).ok_or_else(|| LcmmError::UnknownModel(name.clone()))
-            }
+            GraphSpec::Named(name) => resolve_name(name),
             GraphSpec::Synthetic {
                 depth,
                 branching,
@@ -82,6 +84,8 @@ impl GraphSpec {
                         "synthetic depth and width_percent must be positive".to_string(),
                     ));
                 }
+                lcmm_graph::zoo::check_synthetic_depth(*depth)
+                    .map_err(|err| LcmmError::InvalidRequest(format!("graph.synthetic: {err}")))?;
                 Ok(lcmm_graph::zoo::synthetic_scaled(
                     *depth,
                     *branching,
@@ -92,6 +96,20 @@ impl GraphSpec {
             GraphSpec::Inline(graph) => Ok((**graph).clone()),
         }
     }
+}
+
+/// Builds the zoo net or `synthetic:` spec `name`
+/// ([`lcmm_graph::zoo::try_by_name`]).
+///
+/// # Errors
+///
+/// [`LcmmError::UnknownModel`] for a name that is neither,
+/// [`LcmmError::InvalidRequest`] for a spec past the depth cap.
+pub(crate) fn resolve_name(name: &str) -> Result<Graph, LcmmError> {
+    lcmm_graph::zoo::try_by_name(name).map_err(|err| match err {
+        NameError::Unknown => LcmmError::UnknownModel(name.to_string()),
+        NameError::TooDeep(_) => LcmmError::InvalidRequest(format!("graph {name:?}: {err}")),
+    })
 }
 
 /// A parsed (but not yet resolved) request line.

@@ -1562,8 +1562,9 @@ fn process_workload(inner: &Arc<Inner>, job: &Job) -> String {
         };
     let mut tenants = Vec::new();
     for name in models.split(',').map(str::trim) {
-        let Some(graph) = lcmm_graph::zoo::by_name(name) else {
-            return answer_err(&LcmmError::UnknownModel(name.to_string()));
+        let graph = match crate::protocol::resolve_name(name) {
+            Ok(graph) => graph,
+            Err(err) => return answer_err(&err),
         };
         tenants.push(TenantSpec::new(name.to_string(), graph, precision));
     }

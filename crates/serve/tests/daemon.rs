@@ -352,6 +352,46 @@ fn bad_requests_keep_the_daemon_alive() {
     server.shutdown();
 }
 
+/// A synthetic graph deeper than `MAX_SYNTHETIC_DEPTH` is refused before
+/// anything is built, as a `bad_request` naming the cap: a plan of a
+/// `synthetic:` spec (answered by a worker), a `register` of one
+/// (answered on the calling thread, the serve event loop), the explicit
+/// `{"synthetic":{..}}` object and a `workload` model list. The specs
+/// one past the cap come first: a build without the cap plans them.
+#[test]
+fn synthetic_specs_past_the_depth_cap_are_bad_requests() {
+    use lcmm_graph::zoo::MAX_SYNTHETIC_DEPTH;
+    use std::time::{Duration, Instant};
+    let server = Server::start(ServerConfig::default().with_workers(1));
+    let past = MAX_SYNTHETIC_DEPTH + 1;
+    let probe = "synthetic:99999999x9x1";
+    let lines = [
+        format!(r#"{{"id":1,"graph":"synthetic:{past}x3x1"}}"#),
+        format!(r#"{{"id":2,"op":"register","model":"m","graph":"synthetic:{past}x3x1"}}"#),
+        format!(r#"{{"id":3,"graph":{{"synthetic":{{"depth":{past}}}}}}}"#),
+        format!(r#"{{"id":4,"op":"workload","models":"synthetic:{past}x3x1,alexnet"}}"#),
+        format!(r#"{{"id":5,"graph":"{probe}"}}"#),
+        format!(r#"{{"id":6,"op":"register","model":"m","graph":"{probe}"}}"#),
+    ];
+    let cap = format!("exceeds the cap of {MAX_SYNTHETIC_DEPTH} nodes");
+    for line in &lines {
+        let start = Instant::now();
+        let reply = server.handle_line(line);
+        let elapsed = start.elapsed();
+        let v = parse(&reply);
+        assert_eq!(error_code(&v).as_deref(), Some("bad_request"), "{reply}");
+        assert!(reply.contains(&cap), "{reply}");
+        assert!(
+            elapsed < Duration::from_millis(10),
+            "{line} took {elapsed:?}"
+        );
+    }
+    assert_eq!(stat_u64(&server, "registry", "models"), 0);
+    let ok = parse(&server.handle_line(r#"{"graph":"synthetic:48x3x5"}"#));
+    assert_eq!(ok.get("ok").and_then(Value::as_bool), Some(true));
+    server.shutdown();
+}
+
 /// Computed plans are not memoized in the harness: the plan LRU is the
 /// daemon's only result cache, so budget-only variants of one request
 /// leave `stats.harness.result_misses` at 0 instead of growing it by
