@@ -164,6 +164,22 @@ if ! grep -q '"controller_beats_best_static": true' /tmp/ci_workload_j1.json; th
   exit 1
 fi
 
+# Controller-off gate: three tenants on an inline burst/Poisson/diurnal
+# trace. With the controller off the reported run is the best static
+# share's, and each grid point's capacity split runs a middle stage of
+# the joint DP, two paths workload_1 does not reach.
+echo "==> workload controller off: 3 tenants vs checks/golden/workload_2.json across --jobs"
+workload_args=(workload --models mobilenet,alexnet,squeezenet --steps 6
+  --trace 'burst:20:400:0.5:0.45;poisson:150;diurnal:50/300/50@slo=0.02' --controller off --json)
+for jobs in 1 4; do
+  "$bin" "${workload_args[@]}" --jobs "$jobs" >/tmp/ci_workload.json 2>/dev/null
+  if ! cmp -s /tmp/ci_workload.json checks/golden/workload_2.json; then
+    echo "FAIL: workload (controller off, jobs $jobs) differs from checks/golden/workload_2.json" >&2
+    diff checks/golden/workload_2.json /tmp/ci_workload.json >&2 || true
+    exit 1
+  fi
+done
+
 # Protocol-compat gate: every pre-versioning request form must answer
 # byte-identically under the frozen v1 surface (docs/SERVE.md,
 # "Versioning"). The corpus lives in crates/serve/tests.

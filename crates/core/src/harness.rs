@@ -33,6 +33,7 @@ use crate::umm::UmmBaseline;
 use lcmm_fpga::{AccelDesign, Device, GraphProfile, Precision};
 use lcmm_graph::{Fingerprint, Graph};
 use serde::Serialize;
+use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -169,6 +170,11 @@ pub struct CacheStats {
     pub artifact_hits: usize,
     /// Delta-plan artifact cache misses (front ends actually built).
     pub artifact_misses: usize,
+    /// Values derived from a memoized result that were read back from
+    /// beside it ([`Harness::try_replan_with_derived`]).
+    pub derived_hits: usize,
+    /// Values derived from a memoized result that were computed.
+    pub derived_misses: usize,
 }
 
 /// One recorded pipeline run for the `--profile` report.
@@ -195,9 +201,23 @@ pub struct HarnessProfile {
 /// A memoized LCMM result with the label of the run that computed it.
 /// Keeping the label beside the result makes the `--profile` run log a
 /// view of the result cache, so evicting a result drops its record.
+/// `derived` holds one value computed from the result alone (a co-plan
+/// tenant's simulated load), filled by the first caller of
+/// [`Harness::try_replan_with_derived`] and evicted with the result.
 struct MemoRun {
     label: String,
     result: Arc<LcmmResult>,
+    derived: OnceLock<Arc<dyn Any + Send + Sync>>,
+}
+
+impl MemoRun {
+    fn new(label: String, result: LcmmResult) -> Self {
+        Self {
+            label,
+            result: Arc::new(result),
+            derived: OnceLock::new(),
+        }
+    }
 }
 
 /// The parallel, memoized evaluation harness.
@@ -208,6 +228,8 @@ pub struct Harness {
     baselines: Cache<UmmBaseline>,
     results: Cache<MemoRun>,
     artifacts: Cache<PlanArtifacts>,
+    derived_hits: AtomicUsize,
+    derived_misses: AtomicUsize,
 }
 
 impl std::fmt::Debug for Harness {
@@ -251,6 +273,8 @@ impl Harness {
             baselines: Cache::new(),
             results: Cache::new(),
             artifacts: Cache::new(),
+            derived_hits: AtomicUsize::new(0),
+            derived_misses: AtomicUsize::new(0),
         }
     }
 
@@ -408,10 +432,7 @@ impl Harness {
         let run = self.results.try_get_or_compute::<LcmmError>(key, || {
             let profile = self.profile(graph, &design);
             let result = PlanArtifacts::plan_once(graph, design.clone(), profile, options, cancel)?;
-            Ok(MemoRun {
-                label: run_label(graph, &design, &options),
-                result: Arc::new(result),
-            })
+            Ok(MemoRun::new(run_label(graph, &design, &options), result))
         })?;
         Ok(Arc::clone(&run.result))
     }
@@ -468,11 +489,67 @@ impl Harness {
         budget: Option<u64>,
         cancel: Option<&CancelToken>,
     ) -> Result<Arc<LcmmResult>, LcmmError> {
+        let (run, _) = self.replan_run(graph, base, options, budget, cancel)?;
+        Ok(Arc::clone(&run.result))
+    }
+
+    /// [`Harness::try_replan_with_budget`] plus a value derived from the
+    /// result alone, memoized beside it: `derive` runs with the result
+    /// and the unfused profile of its design (the table the result's
+    /// artifact set was built on, read from the profile cache) the first
+    /// time any caller asks for the result's derived value, and the
+    /// value is evicted with the result by [`Harness::invalidate_graph`].
+    /// Each result has one slot: a caller asking for a type other than
+    /// the stored one derives its value on every call without storing it.
+    pub fn try_replan_with_derived<D: Any + Send + Sync>(
+        &self,
+        graph: &Graph,
+        base: &AccelDesign,
+        options: LcmmOptions,
+        budget: Option<u64>,
+        cancel: Option<&CancelToken>,
+        derive: impl FnOnce(&LcmmResult, &GraphProfile) -> D,
+    ) -> Result<(Arc<LcmmResult>, Arc<D>), LcmmError> {
+        let (run, profile_key) = self.replan_run(graph, base, options, budget, cancel)?;
+        let profile = || {
+            self.profiles
+                .get_or_compute(profile_key.clone(), || run.result.design.profile(graph))
+        };
+        let mut derive = Some(derive);
+        let slot = run.derived.get_or_init(|| {
+            let derive = derive.take().expect("the slot is filled once");
+            Arc::new(derive(&run.result, &profile()))
+        });
+        let (value, derived_here) = match (Arc::clone(slot).downcast::<D>(), derive) {
+            (Ok(value), unused) => (value, unused.is_none()),
+            (Err(_), Some(derive)) => (Arc::new(derive(&run.result, &profile())), true),
+            (Err(_), None) => unreachable!("the value just derived has type D"),
+        };
+        let counter = if derived_here {
+            &self.derived_misses
+        } else {
+            &self.derived_hits
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Ok((Arc::clone(&run.result), value))
+    }
+
+    /// The memoized run behind [`Harness::try_replan_with_budget`], and
+    /// the profile-cache key of its derated design.
+    fn replan_run(
+        &self,
+        graph: &Graph,
+        base: &AccelDesign,
+        options: LcmmOptions,
+        budget: Option<u64>,
+        cancel: Option<&CancelToken>,
+    ) -> Result<(Arc<MemoRun>, Key), LcmmError> {
         let options = options.with_tensor_budget(budget);
         let normalised = options.with_tensor_budget(None);
         // The derated design is budget-independent, so one derate (and
-        // one design fingerprint) serves both the result key and the
-        // artifact key; the graph's fingerprint is memoized on the graph.
+        // one design fingerprint) serves the result key, the artifact
+        // key and the profile key; the graph's fingerprint is memoized
+        // on the graph.
         let design = Pipeline::new(options).lcmm_design(base.clone());
         let graph_fp = graph.fingerprint_key();
         let design_fp = fp(&design);
@@ -488,12 +565,9 @@ impl Harness {
             let artifacts =
                 self.artifacts_keyed(artifact_key, graph, &design, normalised, cancel)?;
             let result = artifacts.replan_with_budget(graph, budget, cancel)?;
-            Ok(MemoRun {
-                label: run_label(graph, &design, &options),
-                result: Arc::new(result),
-            })
+            Ok(MemoRun::new(run_label(graph, &design, &options), result))
         })?;
-        Ok(Arc::clone(&run.result))
+        Ok((run, (graph_fp.clone(), design_fp)))
     }
 
     /// Evicts every cached artefact derived from `graph` — designs,
@@ -553,6 +627,8 @@ impl Harness {
             result_misses,
             artifact_hits,
             artifact_misses,
+            derived_hits: self.derived_hits.load(Ordering::Relaxed),
+            derived_misses: self.derived_misses.load(Ordering::Relaxed),
         }
     }
 
@@ -788,6 +864,62 @@ mod tests {
             misses,
             "other graph's artifacts survived the invalidation"
         );
+    }
+
+    #[test]
+    fn derived_values_are_kept_beside_their_result() {
+        let h = Harness::new(1);
+        let g = small_graph();
+        let base = h.design(&g, &Device::vu9p(), Precision::Fix16);
+        let opts = LcmmOptions::default();
+        let budget = Some(base.tensor_sram_budget() / 2);
+        let calls = AtomicUsize::new(0);
+        let derive = |result: &LcmmResult, profile: &GraphProfile| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            // The profile handed over is the table the design builds.
+            assert_eq!(
+                serde_json::to_string(profile).unwrap(),
+                serde_json::to_string(&result.design.profile(&g)).unwrap()
+            );
+            result.latency.to_bits()
+        };
+        let (r1, v1) = h
+            .try_replan_with_derived(&g, &base, opts, budget, None, derive)
+            .unwrap();
+        let (r2, v2) = h
+            .try_replan_with_derived(&g, &base, opts, budget, None, derive)
+            .unwrap();
+        assert!(Arc::ptr_eq(&r1, &r2) && Arc::ptr_eq(&v1, &v2));
+        assert_eq!(*v1, r1.latency.to_bits());
+        assert_eq!(calls.load(Ordering::Relaxed), 1, "derived once");
+        let stats = h.cache_stats();
+        assert_eq!((stats.derived_misses, stats.derived_hits), (1, 1));
+        // The slot holds one type: another is derived on every call.
+        for _ in 0..2 {
+            let (_, other) = h
+                .try_replan_with_derived(&g, &base, opts, budget, None, |r, _| r.chosen.len())
+                .unwrap();
+            assert_eq!(*other, r1.chosen.len());
+        }
+        assert_eq!(h.cache_stats().derived_misses, 3);
+        // A plain replan hits the result and leaves the slot alone.
+        let plain = h
+            .try_replan_with_budget(&g, &base, opts, budget, None)
+            .unwrap();
+        assert!(Arc::ptr_eq(&plain, &r1));
+        let (_, again) = h
+            .try_replan_with_derived(&g, &base, opts, budget, None, derive)
+            .unwrap();
+        assert!(Arc::ptr_eq(&again, &v1));
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        // Evicting the graph evicts the derived value with its result.
+        h.invalidate_graph(&g);
+        let (r3, v3) = h
+            .try_replan_with_derived(&g, &base, opts, budget, None, derive)
+            .unwrap();
+        assert!(!Arc::ptr_eq(&r3, &r1));
+        assert_eq!(*v3, *v1);
+        assert_eq!(calls.load(Ordering::Relaxed), 2, "derived again");
     }
 
     #[test]

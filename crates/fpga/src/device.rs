@@ -267,18 +267,9 @@ impl Device {
         if sum > 1.0 + 1e-9 {
             return Err(format!("partition shares sum to {sum:.6} > 1"));
         }
-        let dsp = apportion(self.dsp_slices, shares).map_err(|need| {
-            format!(
-                "{need} tenants need {need} DSP slices; device has {}",
-                self.dsp_slices
-            )
-        })?;
-        let banks = apportion(self.ddr.banks, shares).map_err(|need| {
-            format!(
-                "{need} tenants need {need} DDR banks; device has {}",
-                self.ddr.banks
-            )
-        })?;
+        self.check_tenant_count(shares.len())?;
+        let dsp = apportion(self.dsp_slices, shares);
+        let banks = apportion(self.ddr.banks, shares);
         Ok(shares
             .iter()
             .enumerate()
@@ -293,22 +284,43 @@ impl Device {
             })
             .collect())
     }
+
+    /// Whether `tenants` partitions can each get a DSP slice and a DDR
+    /// bank: the error [`Self::partition_set`] gives for that many
+    /// shares, checked without any. Callers that enumerate share
+    /// vectors check this first, since the count alone decides it.
+    ///
+    /// # Errors
+    ///
+    /// More tenants than DSP slices, or than DDR banks (checked in that
+    /// order).
+    pub fn check_tenant_count(&self, tenants: usize) -> Result<(), String> {
+        for (unit, have) in [
+            ("DSP slices", self.dsp_slices),
+            ("DDR banks", self.ddr.banks),
+        ] {
+            if tenants > have {
+                return Err(format!(
+                    "{tenants} tenants need {tenants} {unit}; device has {have}"
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Largest-remainder apportionment of `total` indivisible units over
 /// `shares` (each in `(0, 1]`, summing to at most 1): grants sum to at
 /// most `total`, every tenant gets at least one unit, and a tenant's
 /// grant never exceeds its quota by more than the one unit the floor /
-/// minimum rules move. `Err(n)` reports that the `n` tenants cannot all
-/// receive a unit.
-fn apportion(total: usize, shares: &[f64]) -> Result<Vec<usize>, usize> {
+/// minimum rules move. Needs at most `total` tenants
+/// ([`Device::check_tenant_count`]).
+fn apportion(total: usize, shares: &[f64]) -> Vec<usize> {
     let n = shares.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    if n > total {
-        return Err(n);
-    }
+    debug_assert!(
+        n <= total,
+        "{n} tenants cannot each get one of {total} units"
+    );
     let quotas: Vec<f64> = shares.iter().map(|&s| total as f64 * s).collect();
     let mut grants: Vec<usize> = quotas.iter().map(|&q| q as usize).collect();
     // The collective entitlement, rounded down (the 1e-9 band absorbs
@@ -339,15 +351,17 @@ fn apportion(total: usize, shares: &[f64]) -> Result<Vec<usize>, usize> {
             grants[i] = 1;
             granted += 1;
         } else {
+            // The grants sum to `total` ≥ n with tenant `i` at zero, so
+            // another tenant holds at least two units.
             let donor = (0..n)
                 .max_by(|&a, &b| grants[a].cmp(&grants[b]).then(b.cmp(&a)))
                 .filter(|&d| grants[d] > 1)
-                .ok_or(n)?;
+                .expect("n <= total leaves a grant above one");
             grants[donor] -= 1;
             grants[i] = 1;
         }
     }
-    Ok(grants)
+    grants
 }
 
 impl Default for Device {

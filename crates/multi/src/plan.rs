@@ -5,7 +5,7 @@ use crate::{Coplan, CoplanOptions, SplitPoint, TenantPlan, TenantSpec};
 use lcmm_core::coplan::{GainCurve, CAPACITY_UNIT_BYTES};
 use lcmm_core::{Harness, LcmmError};
 use lcmm_fpga::{AccelDesign, Device};
-use lcmm_sim::{cross_tenant_contention, tenant_load};
+use lcmm_sim::{cross_tenant_contention, tenant_load_with_profile, TenantLoad};
 
 /// The shared tensor-SRAM pool for a set of derated tenant designs:
 /// the device cap minus *every* tenant's double-buffered tile budget.
@@ -28,35 +28,39 @@ pub fn pool_bytes(designs: &[&AccelDesign]) -> u64 {
     first.tensor_sram_budget().saturating_sub(tiles)
 }
 
+/// The curve's steps: the first grant of every bitwise-flat run, paired
+/// with its weighted value — `0`, then each `g` whose value's bits
+/// differ from `g − 1`'s. Every DP row is non-decreasing in capacity (a
+/// max over a growing grant range; float addition rounds
+/// monotonically), so within a run `row[u − g] + weight · value(g)` is
+/// non-increasing in `g`: the run's first grant reaches the run's best
+/// candidate first, and the DP's strict-improvement test keeps it.
+/// Scanning only the steps is therefore exactly equivalent, ties
+/// included. The last step is the curve's saturation point: grants past
+/// it read older, no-better row cells.
+fn curve_steps(weight: f64, curve: &GainCurve) -> Vec<(usize, f64)> {
+    let vals = curve.values();
+    let mut steps = vec![(0, weight * vals[0])];
+    for g in 1..vals.len() {
+        if vals[g].to_bits() != vals[g - 1].to_bits() {
+            steps.push((g, weight * vals[g]));
+        }
+    }
+    steps
+}
+
 /// Second-level capacity DP: assigns `units` knapsack units across the
-/// tenants' weighted value curves. Returns the per-tenant unit grants
-/// (smallest grant on value ties, so the split is deterministic).
+/// tenants' `(weight, curve)` pairs, returning per-tenant unit grants
+/// (smallest grant on value ties, so the split is deterministic). Public
+/// so the workload controller can re-run the capacity split when it
+/// re-partitions tenant shares online.
 ///
 /// This *is* the joint DNNK knapsack over the union of all tenants'
 /// virtual buffers: buffers of different tenants couple only through
 /// capacity, so the union DP factors into per-tenant curves combined
-/// here — pivot compensation stays per-tenant by construction.
-/// Smallest grant after which `curve` is bitwise flat: every value at
-/// `s..=units()` has the same bit pattern as the last entry. Grants
-/// beyond the cap can never win the DP's strict-improvement test (the
-/// DP row is non-decreasing, so a larger grant with the same curve
-/// value reads an older, no-better row cell), so restricting the grant
-/// range to the cap is exactly equivalent — including tie-breaking.
-fn saturation_cap(curve: &GainCurve) -> usize {
-    let vals = curve.values();
-    let last = vals[vals.len() - 1].to_bits();
-    let mut s = vals.len() - 1;
-    while s > 0 && vals[s - 1].to_bits() == last {
-        s -= 1;
-    }
-    s
-}
-
-/// Assigns `units` knapsack units across the tenants' `(weight, curve)`
-/// pairs, returning per-tenant unit grants (see module docs; smallest
-/// grant wins value ties, so the split is deterministic). Public so the
-/// workload controller can re-run the capacity split when it
-/// re-partitions tenant shares online.
+/// here — pivot compensation stays per-tenant by construction. It runs
+/// in O(T·U·B) for T tenants, U units and B steps per curve (the
+/// curve's bitwise-flat runs, see `curve_steps`).
 #[must_use]
 pub fn joint_capacity_dp(curves: &[(f64, GainCurve)], units: usize) -> Vec<usize> {
     let t = curves.len();
@@ -65,12 +69,14 @@ pub fn joint_capacity_dp(curves: &[(f64, GainCurve)], units: usize) -> Vec<usize
     for (k, (weight, curve)) in curves.iter().enumerate() {
         // Three exact shortcuts keep this DP out of the delta-replan
         // critical path (see docs/DELTA.md for the equivalence
-        // argument): grants are capped at the curve's bitwise
+        // argument): later stages scan only the first grant of each of
+        // the curve's bitwise-flat runs, the last of which is its
         // saturation point; the first stage folds its all-zeros input
         // row into a prefix-max scan; and the last stage fills only the
         // one cell the backtrace reads.
-        let cap = saturation_cap(curve);
-        let last_stage = k + 1 == t;
+        let steps = curve_steps(*weight, curve);
+        let cap = steps[steps.len() - 1].0;
+        let cells = if k + 1 == t { units..=units } else { 0..=units };
         let mut next = vec![f64::NEG_INFINITY; units + 1];
         if k == 0 {
             // dp[u-g] is 0.0 everywhere, so cell u is the running
@@ -91,21 +97,15 @@ pub fn joint_capacity_dp(curves: &[(f64, GainCurve)], units: usize) -> Vec<usize
                 *bv = v;
                 *bg = g_at;
             }
-            let cells = if last_stage { units..=units } else { 0..=units };
             for u in cells {
                 let j = u.min(top);
                 next[u] = best_v[j];
                 grant[k * (units + 1) + u] = best_g[j];
             }
         } else {
-            let cells: Box<dyn Iterator<Item = usize>> = if last_stage {
-                Box::new(std::iter::once(units))
-            } else {
-                Box::new(0..=units)
-            };
             for u in cells {
-                for g in 0..=u.min(cap) {
-                    let v = dp[u - g] + weight * curve.value_at(g);
+                for &(g, gain) in steps.iter().take_while(|&&(g, _)| g <= u) {
+                    let v = dp[u - g] + gain;
                     if v > next[u] {
                         next[u] = v;
                         grant[k * (units + 1) + u] = g as u32;
@@ -187,9 +187,16 @@ pub fn plan_with_shares(
     for ((t, base), (&share, &budget)) in
         tenants.iter().zip(&bases).zip(shares.iter().zip(&budgets))
     {
-        let result =
-            harness.try_replan_with_budget(&t.graph, base, opts.options, Some(budget), None)?;
-        let load = tenant_load(&t.graph, &result);
+        // The simulated load is a pure function of the memoized result,
+        // so it is derived once and kept beside it.
+        let (result, load) = harness.try_replan_with_derived(
+            &t.graph,
+            base,
+            opts.options,
+            Some(budget),
+            None,
+            |result, profile| tenant_load_with_profile(&t.graph, result, profile),
+        )?;
         plans.push(TenantPlan {
             name: t.name.clone(),
             share,
@@ -199,7 +206,7 @@ pub fn plan_with_shares(
             contended_latency: 0.0, // filled from the contention report
             slowdown: 1.0,
         });
-        loads.push(load);
+        loads.push(TenantLoad::clone(&load));
     }
 
     let contention = cross_tenant_contention(device.ddr.banks, &loads);
@@ -311,6 +318,44 @@ mod tests {
                 joint_capacity_dp(&curves, units),
                 joint_capacity_dp_reference(&curves, units),
                 "case {case}: tenants={tenants} units={units}"
+            );
+        }
+        // Curves shaped like real gain curves: a few hundred units in
+        // flat runs of up to 40 entries, so middle stages skip most
+        // grants; ±0.0 entries and one-ulp steps make bitwise-distinct
+        // runs of equal or nearly equal value, and resets to zero make
+        // dips.
+        for case in 0..100 {
+            let tenants = 3 + case % 2;
+            let units = 1 + (next() * 300.0) as usize;
+            let curves: Vec<(f64, GainCurve)> = (0..tenants)
+                .map(|_| {
+                    let len = 1 + (next() * 320.0) as usize;
+                    let mut vals = Vec::with_capacity(len);
+                    let mut v = 0.0f64;
+                    while vals.len() < len {
+                        let run = (1 + (next() * 40.0) as usize).min(len - vals.len());
+                        vals.extend(std::iter::repeat_n(v, run));
+                        let r = next();
+                        v = if r < 0.15 {
+                            if next() < 0.5 {
+                                0.0
+                            } else {
+                                -0.0
+                            }
+                        } else if r < 0.25 {
+                            f64::from_bits(v.to_bits() + 1)
+                        } else {
+                            v + next() * 1e-3
+                        };
+                    }
+                    (0.25 + next() * 3.0, GainCurve::from_values(vals))
+                })
+                .collect();
+            assert_eq!(
+                joint_capacity_dp(&curves, units),
+                joint_capacity_dp_reference(&curves, units),
+                "wide case {case}: tenants={tenants} units={units}"
             );
         }
     }

@@ -80,14 +80,20 @@ pub(crate) fn mark_pareto(points: &mut [SplitPoint]) {
 ///
 /// # Errors
 ///
-/// [`LcmmError::BudgetInfeasible`] (or the underlying pipeline error)
-/// when no candidate split is feasible.
+/// [`LcmmError::BudgetInfeasible`] before the grid is built when the
+/// device has fewer DDR banks (or DSP slices) than tenants, and (or the
+/// underlying pipeline error) when no candidate split is feasible.
 pub fn search_shares(
     harness: &Harness,
     device: &Device,
     tenants: &[TenantSpec],
     opts: &CoplanOptions,
 ) -> Result<Coplan, LcmmError> {
+    // The grid holds C(steps − 1, n − 1) share vectors, and whether n
+    // tenants fit the device does not depend on any of them.
+    device
+        .check_tenant_count(tenants.len())
+        .map_err(LcmmError::BudgetInfeasible)?;
     let grid = share_grid(tenants.len(), opts.search_steps);
     let mut outcomes = harness.par_map(&grid, |shares| {
         plan_with_shares(harness, device, tenants, shares, opts)

@@ -215,3 +215,34 @@ fn shared_harness_plans_every_grid_point_like_a_fresh_one() {
         }
     }
 }
+
+#[test]
+fn each_memoized_replan_simulates_its_load_once() {
+    // A tenant's simulated load is kept beside the memoized replan it is
+    // derived from: repeating a split reads every load back, and
+    // evicting one tenant's graph derives only that tenant's load again.
+    let harness = Harness::new(1);
+    let device = Device::vu9p();
+    let tenants = vec![
+        TenantSpec::new("mobilenet", zoo::mobilenet(), Precision::Fix16),
+        TenantSpec::new("alexnet", zoo::alexnet(), Precision::Fix16),
+    ];
+    let opts = CoplanOptions::default();
+    let shares = [0.5, 0.5];
+    let plan = || {
+        let (plan, _) =
+            plan_with_shares(&harness, &device, &tenants, &shares, &opts).expect("feasible");
+        serde_json::to_string(&coplan_summary(&plan)).expect("serialises")
+    };
+    let derived = || {
+        let stats = harness.cache_stats();
+        (stats.derived_misses, stats.derived_hits)
+    };
+    let first = plan();
+    assert_eq!(derived(), (2, 0), "one load per tenant");
+    assert_eq!(plan(), first);
+    assert_eq!(derived(), (2, 2), "both loads read back");
+    harness.invalidate_graph(&tenants[1].graph);
+    assert_eq!(plan(), first);
+    assert_eq!(derived(), (3, 3), "only the evicted tenant's load again");
+}

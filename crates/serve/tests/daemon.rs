@@ -392,6 +392,42 @@ fn synthetic_specs_past_the_depth_cap_are_bad_requests() {
     server.shutdown();
 }
 
+/// A `workload` line with more tenants than the device has DDR banks is
+/// refused before its share grid is built: at the wire's largest
+/// `steps` a 5-tenant grid holds 595 665 share vectors, each of which
+/// only failed the same partition check. The reply is the typed
+/// `infeasible` error that per-point check gave.
+#[test]
+fn workload_tenants_past_the_device_banks_are_refused_before_the_grid() {
+    use std::time::{Duration, Instant};
+    let server = Server::start(ServerConfig::default().with_workers(1));
+    let line = |steps: u64| {
+        let trace = ["poisson:100"; 5].join(";");
+        format!(
+            r#"{{"id":7,"op":"workload","models":"alexnet,squeezenet,mobilenet,googlenet,resnet50","trace":"{trace}","steps":{steps}}}"#
+        )
+    };
+    // Also builds the five graphs, so the timed line below measures
+    // only the workload path.
+    assert_eq!(
+        server.handle_line(&line(16)),
+        r#"{"error":{"code":"infeasible","message":"budget infeasible: 5 tenants need 5 DDR banks; device has 4"},"id":7,"ok":false}"#
+    );
+    let start = Instant::now();
+    let reply = server.handle_line(&line(64));
+    let elapsed = start.elapsed();
+    assert_eq!(
+        error_code(&parse(&reply)).as_deref(),
+        Some("infeasible"),
+        "{reply}"
+    );
+    assert!(
+        elapsed < Duration::from_millis(10),
+        "steps 64 took {elapsed:?}"
+    );
+    server.shutdown();
+}
+
 /// Computed plans are not memoized in the harness: the plan LRU is the
 /// daemon's only result cache, so budget-only variants of one request
 /// leave `stats.harness.result_misses` at 0 instead of growing it by

@@ -14,6 +14,7 @@ use crate::channel::ChannelKind;
 use crate::engine::{SimConfig, Simulator};
 use crate::validate::weight_classes;
 use lcmm_core::LcmmResult;
+use lcmm_fpga::GraphProfile;
 use lcmm_graph::Graph;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -56,8 +57,19 @@ impl TenantLoad {
 /// demand.
 #[must_use]
 pub fn tenant_load(graph: &Graph, result: &LcmmResult) -> TenantLoad {
-    let profile = result.design.profile(graph);
-    let sim = Simulator::new(graph, &profile);
+    tenant_load_with_profile(graph, result, &result.design.profile(graph))
+}
+
+/// [`tenant_load`] against `profile`, which must be the table
+/// `result.design.profile(graph)` builds (a cached copy saves
+/// re-profiling the design).
+#[must_use]
+pub fn tenant_load_with_profile(
+    graph: &Graph,
+    result: &LcmmResult,
+    profile: &GraphProfile,
+) -> TenantLoad {
+    let sim = Simulator::new(graph, profile);
     let config = SimConfig::default()
         .with_inferences(2)
         .with_weight_classes(weight_classes(result))

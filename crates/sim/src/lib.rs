@@ -37,5 +37,7 @@ pub mod trace;
 pub mod validate;
 
 pub use channel::{Channel, ChannelKind};
-pub use contention::{cross_tenant_contention, tenant_load, ContentionReport, TenantLoad};
+pub use contention::{
+    cross_tenant_contention, tenant_load, tenant_load_with_profile, ContentionReport, TenantLoad,
+};
 pub use engine::{EventKind, NodeTiming, SimConfig, SimEvent, SimReport, Simulator, WeightClass};

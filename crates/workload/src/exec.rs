@@ -96,7 +96,9 @@ impl PreparedGrid {
 ///
 /// # Errors
 ///
-/// Any co-planner error; when *every* point is infeasible, the last
+/// [`LcmmError::BudgetInfeasible`] before the grid is built when the
+/// device has fewer DDR banks (or DSP slices) than tenants; otherwise
+/// any co-planner error, and when *every* point is infeasible, the last
 /// planning error.
 pub fn prepare(
     harness: &Harness,
@@ -104,6 +106,11 @@ pub fn prepare(
     tenants: &[TenantSpec],
     opts: &CoplanOptions,
 ) -> Result<PreparedGrid, LcmmError> {
+    // The grid holds C(steps − 1, n − 1) share vectors, and whether n
+    // tenants fit the device does not depend on any of them.
+    device
+        .check_tenant_count(tenants.len())
+        .map_err(LcmmError::BudgetInfeasible)?;
     let grid = share_grid(tenants.len(), opts.search_steps);
     let outcomes = harness.par_map(&grid, |shares| {
         plan_with_shares(harness, device, tenants, shares, opts)
@@ -135,6 +142,10 @@ pub fn prepare(
 }
 
 /// One tenant's observed outcome over a run.
+///
+/// The run selects the nearest-rank p50 and p99 once, when it ends;
+/// every other order statistic, the SLO violations and the histogram are
+/// computed from the completion-order latencies on demand.
 #[derive(Debug, Clone)]
 pub struct TenantOutcome {
     /// Requests that arrived inside the horizon.
@@ -145,34 +156,81 @@ pub struct TenantOutcome {
     pub completed: u64,
     /// Requests dropped at admission (queue full).
     pub dropped: u64,
-    /// Completed request latencies, seconds, sorted ascending.
-    pub latencies: Vec<f64>,
-    /// The same latencies, log-bucketed.
-    pub histogram: LatencyHistogram,
+    latencies: Vec<f64>,
+    p50: f64,
+    p99: f64,
+}
+
+/// Index of the nearest-rank `q`-quantile in `n` ascending values.
+fn rank_index(q: f64, n: usize) -> usize {
+    let rank = (q * n as f64).ceil() as usize;
+    rank.clamp(1, n) - 1
 }
 
 impl TenantOutcome {
+    /// An outcome with nothing recorded yet, with room for `arrivals`
+    /// latencies.
+    fn new(arrivals: usize) -> Self {
+        Self {
+            arrivals: arrivals as u64,
+            batches: 0,
+            completed: 0,
+            dropped: 0,
+            latencies: Vec::with_capacity(arrivals),
+            p50: 0.0,
+            p99: 0.0,
+        }
+    }
+
+    /// Selects p50 and p99 from a copy of the latencies in `scratch`
+    /// (p50 inside p99's left part). Values that `total_cmp` calls equal
+    /// have identical bits, so each equals the sorted vector's entry.
+    fn select_percentiles(&mut self, scratch: &mut Vec<f64>) {
+        let n = self.latencies.len();
+        if n == 0 {
+            return;
+        }
+        scratch.clear();
+        scratch.extend_from_slice(&self.latencies);
+        let (i50, i99) = (rank_index(0.50, n), rank_index(0.99, n));
+        let (left, &mut p99, _) = scratch.select_nth_unstable_by(i99, f64::total_cmp);
+        self.p99 = p99;
+        self.p50 = if i50 == i99 {
+            p99
+        } else {
+            *left.select_nth_unstable_by(i50, f64::total_cmp).1
+        };
+    }
+
+    /// Completed request latencies, seconds, in completion order.
+    #[must_use]
+    pub fn latencies(&self) -> &[f64] {
+        &self.latencies
+    }
+
     /// Nearest-rank percentile of the completed latencies (`q` in
-    /// `(0, 1]`); `0.0` when nothing completed.
+    /// `(0, 1]`); `0.0` when nothing completed. Selects from a copy of
+    /// the latencies; [`Self::p50`] and [`Self::p99`] are precomputed.
     #[must_use]
     pub fn percentile(&self, q: f64) -> f64 {
         if self.latencies.is_empty() {
             return 0.0;
         }
-        let rank = (q * self.latencies.len() as f64).ceil() as usize;
-        self.latencies[rank.clamp(1, self.latencies.len()) - 1]
+        let mut copy = self.latencies.clone();
+        let i = rank_index(q, copy.len());
+        *copy.select_nth_unstable_by(i, f64::total_cmp).1
     }
 
     /// Median completed latency, seconds.
     #[must_use]
     pub fn p50(&self) -> f64 {
-        self.percentile(0.50)
+        self.p50
     }
 
     /// 99th-percentile completed latency, seconds.
     #[must_use]
     pub fn p99(&self) -> f64 {
-        self.percentile(0.99)
+        self.p99
     }
 
     /// Fraction of all requests (completed + dropped) whose latency
@@ -185,6 +243,17 @@ impl TenantOutcome {
         }
         let late = self.latencies.iter().filter(|&&l| l > slo).count() as u64;
         (late + self.dropped) as f64 / total as f64
+    }
+
+    /// The latencies, log-bucketed, recorded in completion order (so the
+    /// histogram's mean sums them in the order they completed).
+    #[must_use]
+    pub fn histogram(&self) -> LatencyHistogram {
+        let mut histogram = LatencyHistogram::new();
+        for &latency in &self.latencies {
+            histogram.record(latency);
+        }
+        histogram
     }
 }
 
@@ -296,14 +365,7 @@ pub(crate) fn simulate_arrivals(
     let mut states: Vec<TenantState> = arrivals
         .iter()
         .map(|arrivals| TenantState {
-            outcome: TenantOutcome {
-                arrivals: arrivals.len() as u64,
-                batches: 0,
-                completed: 0,
-                dropped: 0,
-                latencies: Vec::new(),
-                histogram: LatencyHistogram::new(),
-            },
+            outcome: TenantOutcome::new(arrivals.len()),
             arrivals,
             next: 0,
             queue: VecDeque::new(),
@@ -338,9 +400,7 @@ pub(crate) fn simulate_arrivals(
                 st.outcome.batches += 1;
                 for _ in 0..take {
                     let arrived = st.queue.pop_front().expect("take <= queue.len()");
-                    let latency = end - arrived;
-                    st.outcome.latencies.push(latency);
-                    st.outcome.histogram.record(latency);
+                    st.outcome.latencies.push(end - arrived);
                     st.outcome.completed += 1;
                 }
             }
@@ -370,12 +430,11 @@ pub(crate) fn simulate_arrivals(
         }
     }
 
+    let mut scratch = Vec::new();
     let tenants = states
         .into_iter()
         .map(|mut st| {
-            // Values that `total_cmp` calls equal have identical bits,
-            // so an unstable sort gives the same vector.
-            st.outcome.latencies.sort_unstable_by(f64::total_cmp);
+            st.outcome.select_percentiles(&mut scratch);
             st.outcome
         })
         .collect();
@@ -421,7 +480,7 @@ mod tests {
         assert_eq!(t.completed, 1);
         assert_eq!(t.batches, 1);
         assert_eq!(t.dropped, 0);
-        assert!((t.latencies[0] - 0.01).abs() < 1e-12);
+        assert!((t.latencies()[0] - 0.01).abs() < 1e-12);
     }
 
     #[test]
@@ -438,7 +497,7 @@ mod tests {
         let t = &out.tenants[0];
         assert_eq!(t.completed, 4);
         assert_eq!(t.batches, 1);
-        assert!(t.latencies.iter().all(|&l| (l - 0.01).abs() < 1e-12));
+        assert!(t.latencies().iter().all(|&l| (l - 0.01).abs() < 1e-12));
     }
 
     #[test]
@@ -454,7 +513,7 @@ mod tests {
         .expect("clamped");
         let out = simulate(&grid, &spec, &ControllerConfig::default(), 0);
         assert_eq!(out.tenants[0].completed, 6);
-        assert!(out.tenants[0].latencies.iter().all(|&l| l >= 0.0));
+        assert!(out.tenants[0].latencies().iter().all(|&l| l >= 0.0));
     }
 
     #[test]
@@ -489,17 +548,44 @@ mod tests {
 
     #[test]
     fn percentiles_are_nearest_rank() {
-        let outcome = TenantOutcome {
-            arrivals: 4,
-            batches: 4,
-            completed: 4,
-            dropped: 0,
-            latencies: vec![1.0, 2.0, 3.0, 4.0],
-            histogram: LatencyHistogram::new(),
-        };
+        // Unsorted input, as the executor records it: order statistics
+        // are selected, not read off a sorted vector.
+        let mut outcome = TenantOutcome::new(4);
+        outcome.latencies = vec![3.0, 1.0, 4.0, 2.0];
+        outcome.completed = 4;
+        outcome.select_percentiles(&mut Vec::new());
         assert_eq!(outcome.p50(), 2.0);
         assert_eq!(outcome.p99(), 4.0);
         assert_eq!(outcome.percentile(0.25), 1.0);
+        assert_eq!(outcome.percentile(0.5), 2.0);
+        assert_eq!(outcome.percentile(1.0), 4.0);
+        assert_eq!(outcome.latencies(), [3.0, 1.0, 4.0, 2.0], "left in place");
+    }
+
+    #[test]
+    fn latencies_stay_in_completion_order() {
+        // Three requests at t=0 served one per batch wait 10, 20 and
+        // 30 ms; a lone request at t=1 waits 10 ms again. Completion
+        // order is therefore not ascending.
+        let grid = one_point_grid(vec![0.01]);
+        let spec = replay(vec![0.0, 0.0, 0.0, 1.0])
+            .with_max_batch(1)
+            .sanitized()
+            .expect("valid");
+        let out = simulate(&grid, &spec, &ControllerConfig::default(), 0);
+        let t = &out.tenants[0];
+        let want = [0.01, 0.02, 0.03, 0.01];
+        assert_eq!(t.latencies().len(), want.len());
+        for (got, want) in t.latencies().iter().zip(want) {
+            assert!((got - want).abs() < 1e-12, "{:?}", t.latencies());
+        }
+        assert!((t.p50() - 0.01).abs() < 1e-12);
+        assert!((t.p99() - 0.03).abs() < 1e-12);
+        // The histogram records the same values, in the same order.
+        let h = t.histogram();
+        assert_eq!(h.count(), 4);
+        let sum: f64 = t.latencies().iter().sum();
+        assert_eq!(h.mean_seconds().to_bits(), (sum / 4.0).to_bits());
     }
 
     #[test]
@@ -510,6 +596,6 @@ mod tests {
         let spec = replay(vec![0.99]).sanitized().expect("valid");
         let out = simulate(&grid, &spec, &ControllerConfig::default(), 0);
         assert_eq!(out.tenants[0].completed, 1);
-        assert!((out.tenants[0].latencies[0] - 0.5).abs() < 1e-12);
+        assert!((out.tenants[0].latencies()[0] - 0.5).abs() < 1e-12);
     }
 }

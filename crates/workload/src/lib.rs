@@ -13,10 +13,11 @@
 //!   immutable [`PreparedGrid`] — the *schedule*;
 //! * [`simulate`] replays a [`WorkloadSpec`] trace against the grid —
 //!   the *executor*: per-tenant FIFO admission queues, batching, and a
-//!   [`lcmm_sim::Channel`] service timeline per tenant, accumulating
-//!   latency [`LatencyHistogram`]s, p50/p99 and SLO-violation curves
-//!   rather than means. The tick loop only *consumes* prepared points,
-//!   it never replans;
+//!   [`lcmm_sim::Channel`] service timeline per tenant, recording each
+//!   request's latency in completion order. Outcomes report p50/p99
+//!   (selected, not sorted), SLO-violation curves and a latency
+//!   [`LatencyHistogram`] rather than means. The tick loop only
+//!   *consumes* prepared points, it never replans;
 //! * the online controller ([`ControllerConfig`]) watches observed
 //!   arrival rates over a sliding window and re-partitions tenant
 //!   shares by switching between prepared grid points, with hysteresis

@@ -148,6 +148,7 @@ fn tenant_value(
     outcome: &TenantOutcome,
 ) -> Value {
     let anchor = slo_anchor(grid, spec, t);
+    let histogram = outcome.histogram();
     let curve: Vec<Value> = SLO_CURVE_MULTIPLES
         .iter()
         .map(|&m| {
@@ -166,10 +167,10 @@ fn tenant_value(
         ("batches".to_string(), Value::U64(outcome.batches)),
         ("completed".to_string(), Value::U64(outcome.completed)),
         ("dropped".to_string(), Value::U64(outcome.dropped)),
-        ("histogram".to_string(), outcome.histogram.to_value()),
+        ("histogram".to_string(), histogram.to_value()),
         (
             "mean_seconds".to_string(),
-            Value::F64(outcome.histogram.mean_seconds()),
+            Value::F64(histogram.mean_seconds()),
         ),
         ("model".to_string(), Value::Str(grid.models[t].clone())),
         ("p50_seconds".to_string(), Value::F64(outcome.p50())),
