@@ -20,9 +20,10 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "==> cargo doc (deny broken intra-doc links)"
+echo "==> cargo doc (deny broken and private intra-doc links)"
 # First-party crates only: the vendored stand-ins are out of scope.
-RUSTDOCFLAGS="-D rustdoc::broken-intra-doc-links" cargo doc --offline --no-deps -q \
+RUSTDOCFLAGS="-D rustdoc::broken-intra-doc-links -D rustdoc::private_intra_doc_links" \
+  cargo doc --offline --no-deps -q \
   -p lcmm -p lcmm-graph -p lcmm-fpga -p lcmm-core -p lcmm-sim -p lcmm-multi -p lcmm-workload \
   -p lcmm-serve
 
@@ -94,6 +95,32 @@ for sweep_set in "${sweep_sets[@]}"; do
   if ! cmp -s /tmp/ci_sweep_j1.json "checks/golden/sweep_budgets_$sweep_i.json"; then
     echo "FAIL: '${sweep_args[*]}' differs from checks/golden/sweep_budgets_$sweep_i.json" >&2
     diff "checks/golden/sweep_budgets_$sweep_i.json" /tmp/ci_sweep_j1.json >&2 || true
+    exit 1
+  fi
+done
+
+# Pass-counter gate: the deterministic `PassStats` counters that
+# `--profile` prints (DP cells, gain-cache traffic, table hits, split
+# outcomes) must match their goldens once the wall-clock `*_seconds`
+# lines are dropped. table1 runs 9 one-shot plans; the descending sweep
+# replays 110 budgets on cached artifact sets, 88 of them backtracking
+# from stored DNNK tables. --jobs 1 only: at --jobs 4, runs sharing an
+# artifact set race for its tables, so table hits and DP cells vary.
+echo "==> pass counters: --profile vs checks/golden/profile_{1,2}.json"
+profile_sets=(
+  "table1"
+  "sweep-budgets --fractions 1/1,1/2,1/4,1/8,1/16 --json"
+)
+profile_i=0
+for profile_set in "${profile_sets[@]}"; do
+  profile_i=$((profile_i + 1))
+  read -ra profile_args <<<"$profile_set"
+  golden="checks/golden/profile_$profile_i.json"
+  "$bin" "${profile_args[@]}" --jobs 1 --profile 2>&1 >/dev/null |
+    grep -v '_seconds"' >/tmp/ci_profile.json
+  if ! cmp -s /tmp/ci_profile.json "$golden"; then
+    echo "FAIL: '${profile_args[*]} --profile' counters differ from $golden" >&2
+    diff "$golden" /tmp/ci_profile.json >&2 || true
     exit 1
   fi
 done

@@ -17,7 +17,6 @@
 use super::{capacity_units, AllocOutcome, AllocProblem, CAPACITY_UNIT_BYTES};
 use crate::interference::{FalseEdge, VirtualBuffer};
 use crate::prefetch::WeightMode;
-use crate::profiling;
 use crate::value::ValueId;
 use lcmm_graph::NodeId;
 use std::collections::HashMap;
@@ -214,10 +213,10 @@ impl ChoiceTable {
     }
 }
 
-/// Most keys one [`TableMemo`] stores, each with its buffer set and at
-/// most one table. Past it, a new key's buffer set is colored, and its
-/// DP run, without being stored, so an artifact set's memo stays bounded
-/// however many budgets replan through it.
+/// Most keys one artifact set's split-key memo stores, each with its
+/// buffer set and at most one table. Past it, a new key's buffer set is
+/// colored, and its DP run, without being stored, so an artifact set's
+/// memo stays bounded however many budgets replan through it.
 pub const MAX_STORED_TABLES: usize = 32;
 
 /// What one key of a [`TableMemo`] stores: the buffer set the key's
@@ -240,7 +239,8 @@ pub(crate) struct TableMemo {
     entries: Mutex<HashMap<Vec<FalseEdge>, KeyEntry>>,
 }
 
-/// What a [`TableMemo`] holds (see [`crate::PlanArtifacts::memo_footprint`]).
+/// What an artifact set's split-key memo holds (see
+/// [`crate::PlanArtifacts::memo_footprint`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoFootprint {
     /// Keys stored, each with its buffer set; at most
@@ -300,7 +300,7 @@ impl TableMemo {
         }
         let stored = self.lock().get(edges).and_then(|e| e.table.clone());
         if let Some(table) = stored.filter(|t| t.units >= units) {
-            profiling::count_dnnk_table_hit();
+            problem.evaluator.count(|s| s.dnnk_table_hits += 1);
             return backtrack(problem, &table, units);
         }
         let table = dp(problem, units).table;
@@ -449,6 +449,8 @@ fn dp(problem: &AllocProblem<'_>, units: usize) -> DpTables {
     // reset after each row by walking the (short) relevant list.
     const NO_BIT: u32 = u32::MAX;
     let mut bit_of: Vec<u32> = vec![NO_BIT; n];
+    // Gain-cache traffic, added to the run's counters once per DP.
+    let (mut hits, mut misses, mut exact) = (0u64, 0u64, 0u64);
 
     for (i, touched) in touched.iter().enumerate() {
         // Membership probes in `compute_gain` run once per latency term
@@ -582,7 +584,6 @@ fn dp(problem: &AllocProblem<'_>, units: usize) -> DpTables {
             Vec::new()
         };
 
-        profiling::add_dnnk_dp_cells((units + 1) as u64);
         // A single-weight row charges its own weight the taken option's
         // exposure; every other row charges each member its plan
         // exposure.
@@ -618,10 +619,10 @@ fn dp(problem: &AllocProblem<'_>, units: usize) -> DpTables {
                 let gain = if use_cache {
                     let key = keys[j];
                     if let Some(&(_, g)) = gain_cache.iter().find(|&&(k, _)| k == key) {
-                        profiling::count_gain_cache_hit();
+                        hits += 1;
                         g
                     } else {
-                        profiling::count_gain_cache_miss();
+                        misses += 1;
                         let g: f64 = (0..touched.len())
                             .map(|p| {
                                 let rk = key & op_masks[p];
@@ -638,7 +639,7 @@ fn dp(problem: &AllocProblem<'_>, units: usize) -> DpTables {
                         g
                     }
                 } else {
-                    profiling::count_gain_exact_recompute();
+                    exact += 1;
                     // Residency context at this capacity (the pbuf_table
                     // approximation of Alg. 1).
                     let ctx_on = |v: ValueId| -> bool {
@@ -665,6 +666,12 @@ fn dp(problem: &AllocProblem<'_>, units: usize) -> DpTables {
         table.push_row(&row_states);
         std::mem::swap(&mut prev_l, &mut cur_l);
     }
+    problem.evaluator.count(|s| {
+        s.dnnk_dp_cells += (n * (units + 1)) as u64;
+        s.gain_cache_hits += hits;
+        s.gain_cache_misses += misses;
+        s.gain_exact_recomputes += exact;
+    });
 
     DpTables {
         table,
@@ -767,9 +774,8 @@ mod tests {
         let budget = 64 * CAPACITY_UNIT_BYTES;
         let problem = AllocProblem::new(&ev, &bufs, budget, &PrefetchPlan::default());
 
-        crate::profiling::reset_counters();
         let out = allocate(&problem);
-        let counters = crate::profiling::snapshot_counters();
+        let counters = ev.take_stats();
         assert!(
             counters.gain_exact_recomputes > 0,
             "wide relevant sets must bypass the gain cache"
@@ -851,9 +857,9 @@ mod tests {
                 bufs.clone()
             });
             assert_eq!(&set[..], &bufs[..]);
-            crate::profiling::reset_counters();
+            ev.take_stats();
             let out = memo.allocate(problem, edges);
-            let c = crate::profiling::snapshot_counters();
+            let c = ev.take_stats();
             assert_eq!(out.chosen, allocate(problem).chosen);
             (c.dnnk_table_hits, c.dnnk_dp_cells)
         };

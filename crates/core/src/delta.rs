@@ -36,7 +36,6 @@ use crate::interference::VirtualBuffer;
 use crate::pipeline::{
     build_front_end, run_back_end, AllocatorKind, FrontEnd, LcmmOptions, Pipeline,
 };
-use crate::profiling;
 use crate::splitting::color_all;
 use crate::LcmmResult;
 use lcmm_fpga::{AccelDesign, GraphProfile};
@@ -179,10 +178,15 @@ impl PlanArtifacts {
     }
 
     /// The initial coloring of the cached interference graphs: the split
-    /// memo's empty key, colored the first time any route asks for it.
-    pub(crate) fn initial_buffers(&self) -> Arc<[VirtualBuffer]> {
+    /// memo's empty key, colored (and timed on `evaluator`) the first time
+    /// any route asks for it.
+    pub(crate) fn initial_buffers(&self, evaluator: &Evaluator<'_>) -> Arc<[VirtualBuffer]> {
         self.memo.buffers(&[], || {
-            color_all(&self.front.feature_graph, &self.front.weight_graph)
+            color_all(
+                evaluator,
+                &self.front.feature_graph,
+                &self.front.weight_graph,
+            )
         })
     }
 
@@ -207,16 +211,15 @@ impl PlanArtifacts {
         cancel: Option<&CancelToken>,
     ) -> Result<LcmmResult, LcmmError> {
         self.check_graph(graph)?;
-        profiling::reset_counters();
         run_back_end(self, graph, budget, Instant::now(), cancel)
     }
 
     /// A one-shot plan at `options.tensor_budget`: builds a throwaway
     /// artifact set and replays its budget once — the engine behind
     /// [`crate::PlanRequest`] and [`crate::Harness::try_lcmm_with_design`].
-    /// The counters are reset before the build, so the result counts
-    /// and times passes 1–2 too. `cancel` is polled before the build and
-    /// at every pass boundary.
+    /// The result's `total_seconds` and pass 1–2 timings include the
+    /// build. `cancel` is polled before the build and at every pass
+    /// boundary.
     pub(crate) fn plan_once(
         graph: &Graph,
         design: AccelDesign,
@@ -225,7 +228,6 @@ impl PlanArtifacts {
         cancel: Option<&CancelToken>,
     ) -> Result<LcmmResult, LcmmError> {
         check_opt(cancel)?;
-        profiling::reset_counters();
         let t_total = Instant::now();
         let artifacts = Self::from_parts(graph, design, profile, options, cancel)?;
         let mut result = run_back_end(&artifacts, graph, options.tensor_budget, t_total, cancel)?;
@@ -273,7 +275,7 @@ impl PlanArtifacts {
             GainCurve::from_values(wider.values()[..=units].to_vec())
         } else {
             let evaluator = Evaluator::new(graph, self.effective_profile());
-            let buffers = self.initial_buffers();
+            let buffers = self.initial_buffers(&evaluator);
             let problem = AllocProblem::with_streaming(
                 &evaluator,
                 &buffers,

@@ -17,10 +17,12 @@
 //! each layer).
 
 use crate::fast_hash::{FxHashMap, FxHashSet};
+use crate::profiling::PassStats;
 use crate::value::ValueId;
 use lcmm_fpga::GraphProfile;
 use lcmm_graph::{Graph, NodeId};
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 
 /// The set of values resident in on-chip SRAM.
 ///
@@ -125,12 +127,19 @@ impl Extend<ValueId> for Residency {
 }
 
 /// Evaluates residency assignments against an operation latency table.
+///
+/// An evaluator also carries the counters of the planning run it serves
+/// (see [`crate::profiling`]): every pass holds it, so each adds its
+/// counts here.
 #[derive(Debug, Clone)]
 pub struct Evaluator<'a> {
     graph: &'a Graph,
     profile: &'a GraphProfile,
     /// readers[i] = nodes whose latency row reads node i's value.
     readers: Vec<Vec<NodeId>>,
+    /// The counters of [`PassStats`] the passes have added so far; its
+    /// timings other than `coloring_seconds` stay 0.
+    stats: Cell<PassStats>,
 }
 
 impl<'a> Evaluator<'a> {
@@ -147,7 +156,20 @@ impl<'a> Evaluator<'a> {
             graph,
             profile,
             readers,
+            stats: Cell::default(),
         }
+    }
+
+    /// Adds to this run's counters.
+    pub(crate) fn count(&self, add: impl FnOnce(&mut PassStats)) {
+        let mut stats = self.stats.get();
+        add(&mut stats);
+        self.stats.set(stats);
+    }
+
+    /// Takes the counters added so far, leaving them zeroed.
+    pub(crate) fn take_stats(&self) -> PassStats {
+        self.stats.take()
     }
 
     /// The graph under evaluation.
@@ -205,7 +227,7 @@ impl<'a> Evaluator<'a> {
     /// ```
     #[must_use]
     pub fn total_latency(&self, residency: &Residency) -> f64 {
-        crate::profiling::count_evaluator_call();
+        self.count(|s| s.evaluator_calls += 1);
         self.graph
             .iter()
             .map(|n| self.node_latency(n.id(), residency))
@@ -258,7 +280,7 @@ impl<'a> Evaluator<'a> {
     /// keeps the clone-based formulation as the executable spec.
     #[must_use]
     pub fn gain_of(&self, residency: &mut Residency, values: &[ValueId]) -> f64 {
-        crate::profiling::count_evaluator_call();
+        self.count(|s| s.evaluator_calls += 1);
         let touched = self.touched_nodes(values);
         let before: f64 = touched
             .iter()
@@ -304,7 +326,7 @@ impl<'a> Evaluator<'a> {
     /// allocator decisions cannot drift).
     #[must_use]
     pub fn gain_of_reference(&self, residency: &Residency, values: &[ValueId]) -> f64 {
-        crate::profiling::count_evaluator_call();
+        self.count(|s| s.evaluator_calls += 1);
         let touched = self.touched_nodes(values);
         let before: f64 = touched
             .iter()

@@ -10,7 +10,7 @@ use crate::fusion::{FusionMode, FusionPlan};
 use crate::interference::{FalseEdge, InterferenceGraph, VirtualBuffer};
 use crate::liveness::{feature_lifespans, Schedule};
 use crate::prefetch::{PrefetchPlan, StreamingMode, WeightMode};
-use crate::profiling::{self, PassStats};
+use crate::profiling::PassStats;
 use crate::splitting::{refine_from, SplitConfig, SplitInputs};
 use crate::umm::UmmBaseline;
 use crate::value::ValueTable;
@@ -406,10 +406,10 @@ pub(crate) fn build_front_end(
 /// Runs passes 3–4 and reporting at `budget` (`None` = the design's full
 /// SRAM budget) on the front end of `artifacts` — the budget-dependent
 /// tail of the pipeline. `t_total` anchors the run's `total_seconds`:
-/// the caller started it, and reset the profiling counters, before the
-/// replay (or before the build, for a one-shot plan). The result's stats
-/// report 0 s for liveness and prefetch, which ran in the build: a
-/// caller that ran them fills those fields in.
+/// the caller started it before the replay (or before the build, for a
+/// one-shot plan). The counters are those of this run's own evaluator.
+/// The result's stats report 0 s for liveness and prefetch, which ran in
+/// the build: a caller that ran them fills those fields in.
 pub(crate) fn run_back_end(
     artifacts: &PlanArtifacts,
     graph: &Graph,
@@ -432,7 +432,7 @@ pub(crate) fn run_back_end(
     // The exact allocator enumerates 2^n subsets: refuse a buffer set it
     // cannot enumerate instead of planning it with the empty allocation.
     if options.allocator == AllocatorKind::Exhaustive {
-        let buffers = artifacts.initial_buffers().len();
+        let buffers = artifacts.initial_buffers(&evaluator).len();
         if buffers > exhaustive::MAX_BUFFERS {
             return Err(LcmmError::InvalidRequest(format!(
                 "exhaustive allocator limited to {} buffers, got {buffers}",
@@ -490,7 +490,7 @@ pub(crate) fn run_back_end(
     let ops = design.batch as u64 * 2 * graph.total_macs();
     let reporting_seconds = t_pass.elapsed().as_secs_f64();
 
-    let mut stats = PassStats::from_counters(profiling::snapshot_counters());
+    let mut stats = evaluator.take_stats();
     stats.alloc_split_seconds = alloc_split_seconds;
     stats.reporting_seconds = reporting_seconds;
     stats.total_seconds = t_total.elapsed().as_secs_f64();

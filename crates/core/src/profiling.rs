@@ -5,15 +5,14 @@
 //! you *why* a run was slow (DP cells visited, gain-cache hit rate,
 //! split iterations accepted vs rejected, evaluator calls).
 //!
-//! The counters live in thread-local cells rather than in a context
-//! struct because the allocator boundary is a plain `fn` pointer
-//! ([`crate::splitting::AllocatorFn`]) with no room to thread state
-//! through — and because the parallel harness runs one pipeline per
-//! worker thread, so thread-locals give each run its own counter set
-//! for free.
+//! The counters live on the run's [`crate::Evaluator`], which every
+//! pass already holds: allocators reach it through
+//! [`crate::alloc::AllocProblem::evaluator`], the split loop through its
+//! inputs. A planning run builds a fresh evaluator for passes 3–4 and
+//! reads its counters once at the end, so no two runs share a counter
+//! set, whichever thread they run on.
 
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
 
 /// Timings and counters of one pipeline run.
 ///
@@ -60,112 +59,7 @@ pub struct PassStats {
     pub splits_rejected: u64,
 }
 
-/// The thread-local counter set the passes increment.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Counters {
-    pub evaluator_calls: u64,
-    pub allocator_invocations: u64,
-    pub dnnk_dp_cells: u64,
-    pub dnnk_table_hits: u64,
-    pub gain_cache_hits: u64,
-    pub gain_cache_misses: u64,
-    pub gain_exact_recomputes: u64,
-    pub splits_accepted: u64,
-    pub splits_rejected: u64,
-    pub coloring_seconds: f64,
-}
-
-thread_local! {
-    static COUNTERS: Cell<Counters> = const { Cell::new(Counters {
-        evaluator_calls: 0,
-        allocator_invocations: 0,
-        dnnk_dp_cells: 0,
-        dnnk_table_hits: 0,
-        gain_cache_hits: 0,
-        gain_cache_misses: 0,
-        gain_exact_recomputes: 0,
-        splits_accepted: 0,
-        splits_rejected: 0,
-        coloring_seconds: 0.0,
-    }) };
-}
-
-fn bump(f: impl FnOnce(&mut Counters)) {
-    COUNTERS.with(|c| {
-        let mut v = c.get();
-        f(&mut v);
-        c.set(v);
-    });
-}
-
-/// Zeroes this thread's counters (start of a pipeline run).
-pub(crate) fn reset_counters() {
-    COUNTERS.with(|c| c.set(Counters::default()));
-}
-
-/// Reads this thread's counters (end of a pipeline run).
-pub(crate) fn snapshot_counters() -> Counters {
-    COUNTERS.with(Cell::get)
-}
-
-pub(crate) fn count_evaluator_call() {
-    bump(|c| c.evaluator_calls += 1);
-}
-
-pub(crate) fn count_allocator_invocation() {
-    bump(|c| c.allocator_invocations += 1);
-}
-
-pub(crate) fn add_dnnk_dp_cells(n: u64) {
-    bump(|c| c.dnnk_dp_cells += n);
-}
-
-pub(crate) fn count_dnnk_table_hit() {
-    bump(|c| c.dnnk_table_hits += 1);
-}
-
-pub(crate) fn count_gain_cache_hit() {
-    bump(|c| c.gain_cache_hits += 1);
-}
-
-pub(crate) fn count_gain_cache_miss() {
-    bump(|c| c.gain_cache_misses += 1);
-}
-
-pub(crate) fn count_gain_exact_recompute() {
-    bump(|c| c.gain_exact_recomputes += 1);
-}
-
-pub(crate) fn count_split_accepted() {
-    bump(|c| c.splits_accepted += 1);
-}
-
-pub(crate) fn count_split_rejected() {
-    bump(|c| c.splits_rejected += 1);
-}
-
-pub(crate) fn add_coloring_seconds(seconds: f64) {
-    bump(|c| c.coloring_seconds += seconds);
-}
-
 impl PassStats {
-    /// Folds the thread-local counters into a stats record.
-    pub(crate) fn from_counters(c: Counters) -> Self {
-        Self {
-            evaluator_calls: c.evaluator_calls,
-            allocator_invocations: c.allocator_invocations,
-            dnnk_dp_cells: c.dnnk_dp_cells,
-            dnnk_table_hits: c.dnnk_table_hits,
-            gain_cache_hits: c.gain_cache_hits,
-            gain_cache_misses: c.gain_cache_misses,
-            gain_exact_recomputes: c.gain_exact_recomputes,
-            splits_accepted: c.splits_accepted,
-            splits_rejected: c.splits_rejected,
-            coloring_seconds: c.coloring_seconds,
-            ..Self::default()
-        }
-    }
-
     /// Gain-cache hit rate in `[0, 1]` (0 when the cache was never
     /// consulted).
     #[must_use]
@@ -181,25 +75,6 @@ impl PassStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_reset_and_accumulate() {
-        reset_counters();
-        count_evaluator_call();
-        count_evaluator_call();
-        count_gain_cache_hit();
-        count_gain_cache_miss();
-        add_dnnk_dp_cells(7);
-        add_coloring_seconds(0.25);
-        let c = snapshot_counters();
-        assert_eq!(c.evaluator_calls, 2);
-        assert_eq!(c.gain_cache_hits, 1);
-        assert_eq!(c.gain_cache_misses, 1);
-        assert_eq!(c.dnnk_dp_cells, 7);
-        assert!((c.coloring_seconds - 0.25).abs() < 1e-12);
-        reset_counters();
-        assert_eq!(snapshot_counters().evaluator_calls, 0);
-    }
 
     #[test]
     fn hit_rate_handles_empty_and_mixed() {

@@ -20,7 +20,6 @@ use crate::alloc::{AllocOutcome, AllocProblem};
 use crate::eval::{Evaluator, Residency};
 use crate::interference::{false_edge, FalseEdge, InterferenceGraph, VirtualBuffer};
 use crate::prefetch::{PrefetchPlan, StreamingMode};
-use crate::profiling;
 use crate::value::{ValueId, ValueKind};
 use lcmm_fpga::Precision;
 use std::borrow::Cow;
@@ -71,12 +70,16 @@ pub(crate) struct SplitInputs<'a> {
 }
 
 /// Colors both interference graphs into one buffer list (features
-/// first), timing it as coloring.
-pub(crate) fn color_all(fg: &InterferenceGraph, wg: &InterferenceGraph) -> Vec<VirtualBuffer> {
+/// first), timing it as the run's coloring.
+pub(crate) fn color_all(
+    evaluator: &Evaluator<'_>,
+    fg: &InterferenceGraph,
+    wg: &InterferenceGraph,
+) -> Vec<VirtualBuffer> {
     let t = Instant::now();
     let mut bufs = fg.color();
     bufs.extend(wg.color());
-    profiling::add_coloring_seconds(t.elapsed().as_secs_f64());
+    evaluator.count(|s| s.coloring_seconds += t.elapsed().as_secs_f64());
     bufs
 }
 
@@ -133,7 +136,7 @@ pub(crate) fn refine_from(
             inputs.plan,
             inputs.streaming,
         );
-        profiling::count_allocator_invocation();
+        inputs.evaluator.count(|s| s.allocator_invocations += 1);
         allocate(&problem, edges)
     };
     // The graphs a key is colored from: the inputs, each cloned the
@@ -152,7 +155,7 @@ pub(crate) fn refine_from(
                 ValueKind::Weight => weight_graph.to_mut().add_false_edge(a, b),
             }
         }
-        color_all(&feature_graph, &weight_graph)
+        color_all(inputs.evaluator, &feature_graph, &weight_graph)
     };
     let mut edges: Vec<FalseEdge> = Vec::new();
     let mut buffers = memo.buffers(&edges, || color_key(&edges));
@@ -172,13 +175,13 @@ pub(crate) fn refine_from(
         let new_buffers = memo.buffers(&new_edges, || color_key(&new_edges));
         let candidate = allocate_for(&new_buffers, &new_edges);
         if candidate.latency < best.latency {
-            profiling::count_split_accepted();
+            inputs.evaluator.count(|s| s.splits_accepted += 1);
             best = candidate;
             buffers = new_buffers;
             edges = new_edges;
             iterations += 1;
         } else {
-            profiling::count_split_rejected();
+            inputs.evaluator.count(|s| s.splits_rejected += 1);
             break;
         }
     }

@@ -6,7 +6,9 @@
 //! across an invalidation.
 
 use lcmm_core::alloc::dnnk::MAX_STORED_TABLES;
-use lcmm_core::{AllocatorKind, Harness, LcmmOptions, LcmmResult, PlanArtifacts, PlanRequest};
+use lcmm_core::{
+    AllocatorKind, Harness, LcmmOptions, LcmmResult, PassStats, PlanArtifacts, PlanRequest,
+};
 use lcmm_fpga::{AccelDesign, Device, Precision};
 use lcmm_graph::{zoo, Graph};
 use proptest::prelude::*;
@@ -406,4 +408,48 @@ fn table_memo_replans_match_scratch_with_accepted_splits() {
             assert_eq!(artifacts.memo_footprint(), footprint);
         }
     }
+}
+
+/// A run's `PassStats` counters are its own: a plan run on a thread that
+/// has just read a gain curve and replanned another artifact set reports
+/// the counters the same plan reports on a fresh thread.
+#[test]
+fn run_counters_are_independent_of_earlier_runs_on_the_thread() {
+    let g = zoo::googlenet();
+    let plan = || {
+        PlanRequest::new(&g, &Device::vu9p(), Precision::Fix16)
+            .run()
+            .expect("googlenet plans")
+            .stats
+    };
+    let after_other_runs = || {
+        let other = zoo::alexnet();
+        let artifacts =
+            PlanArtifacts::build(&other, base(&other), LcmmOptions::default(), None).unwrap();
+        artifacts.gain_curve(&other, 8 << 20).unwrap();
+        artifacts
+            .replan_with_budget(&other, Some(4 << 20), None)
+            .unwrap();
+        plan()
+    };
+    let (fresh, busy) = std::thread::scope(|s| {
+        let fresh = s.spawn(plan).join().expect("fresh thread");
+        let busy = s.spawn(after_other_runs).join().expect("busy thread");
+        (fresh, busy)
+    });
+    let counters = |s: PassStats| {
+        [
+            s.evaluator_calls,
+            s.allocator_invocations,
+            s.dnnk_dp_cells,
+            s.dnnk_table_hits,
+            s.gain_cache_hits,
+            s.gain_cache_misses,
+            s.gain_exact_recomputes,
+            s.splits_accepted,
+            s.splits_rejected,
+        ]
+    };
+    assert!(fresh.dnnk_dp_cells > 0 && fresh.allocator_invocations > 0);
+    assert_eq!(counters(fresh), counters(busy));
 }

@@ -4,7 +4,7 @@ use crate::array::SystolicArray;
 use crate::device::Device;
 use crate::latency::{post_engine_cycles, resolved_sources, GraphProfile, OpLatency};
 use crate::precision::Precision;
-use crate::tiling::{choose_tiling, TileBudget, TileChoice};
+use crate::tiling::{choose_tiling, TileBudget, TilingMemo};
 use lcmm_graph::{ConvParams, FeatureShape, Graph, Node, OpKind};
 use serde::{Deserialize, Serialize};
 
@@ -201,20 +201,14 @@ impl AccelDesign {
         bytes as f64 / self.interface_bandwidth()
     }
 
-    /// Tiling decision for a conv-like layer.
-    #[must_use]
-    pub fn tiling(
+    /// The latency row (Fig. 7(c)) for one node; `tilings` is the
+    /// profile build's tiling memo.
+    pub(crate) fn node_latency(
         &self,
-        input: FeatureShape,
-        output: FeatureShape,
-        params: &ConvParams,
-    ) -> TileChoice {
-        choose_tiling(input, output, params, self.precision, &self.tile_budget)
-    }
-
-    /// The latency row (Fig. 7(c)) for one node.
-    #[must_use]
-    pub fn node_latency(&self, graph: &Graph, node: &Node) -> OpLatency {
+        graph: &Graph,
+        node: &Node,
+        tilings: &mut TilingMemo,
+    ) -> OpLatency {
         let b = self.precision.bytes();
         let bw = self.interface_bandwidth();
         let zero = OpLatency {
@@ -229,13 +223,13 @@ impl AccelDesign {
             OpKind::Input | OpKind::Concat => zero,
             OpKind::Conv(p) => {
                 let input = graph.node(node.inputs()[0]).output_shape();
-                self.matmul_latency(graph, node, input, node.output_shape(), *p)
+                self.matmul_latency(graph, node, input, node.output_shape(), *p, tilings)
             }
             OpKind::Fc(f) => {
                 let input = graph.node(node.inputs()[0]).output_shape();
                 let as_conv = ConvParams::pointwise(f.out_features);
                 let flat = FeatureShape::new(input.elems() as usize, 1, 1);
-                self.matmul_latency(graph, node, flat, node.output_shape(), as_conv)
+                self.matmul_latency(graph, node, flat, node.output_shape(), as_conv, tilings)
             }
             OpKind::Pool(_) | OpKind::GlobalAvgPool | OpKind::EltwiseAdd => {
                 let n = self.batch as f64;
@@ -272,10 +266,13 @@ impl AccelDesign {
         input: FeatureShape,
         output: FeatureShape,
         params: ConvParams,
+        tilings: &mut TilingMemo,
     ) -> OpLatency {
         let b = self.precision.bytes();
         let bw = self.interface_bandwidth();
-        let tile = choose_tiling(input, output, &params, self.precision, &self.tile_budget);
+        let tile = *tilings.entry((input, output, params)).or_insert_with(|| {
+            choose_tiling(input, output, &params, self.precision, &self.tile_budget)
+        });
         let cycles = self.array.conv_cycles(
             output.channels,
             output.height,
@@ -435,7 +432,7 @@ mod tests {
         // And small-spatial layers transfer slower per byte than the
         // theoretical interface.
         let res5 = g.node_by_name("res5c_branch2b").unwrap();
-        let row = d.node_latency(&g, res5);
+        let row = d.node_latency(&g, res5, &mut TilingMemo::default());
         let theoretical = d.device.ddr.interface_bandwidth();
         let wt_bytes = g.node_weight_elems(res5.id()) * 2;
         assert!(row.weight > wt_bytes as f64 / theoretical);
@@ -447,8 +444,8 @@ mod tests {
         let d1 = AccelDesign::explore(&g, &Device::vu9p(), Precision::Fix16);
         let d8 = d1.clone().with_batch(8);
         let fc6 = g.node_by_name("fc6").unwrap();
-        let r1 = d1.node_latency(&g, fc6);
-        let r8 = d8.node_latency(&g, fc6);
+        let r1 = d1.node_latency(&g, fc6, &mut TilingMemo::default());
+        let r8 = d8.node_latency(&g, fc6, &mut TilingMemo::default());
         // Weight transfer is batch-independent; compute and features
         // scale linearly.
         assert!((r8.weight - r1.weight).abs() < 1e-15);
@@ -466,12 +463,28 @@ mod tests {
     }
 
     #[test]
+    fn tiling_memo_enumerates_each_layer_shape_once() {
+        // ResNet-152 repeats a few block shapes dozens of times: one
+        // build's memo holds a tiling per distinct shape, and a row read
+        // through it is the row a fresh enumeration gives.
+        let g = zoo::resnet152();
+        let d = AccelDesign::explore(&g, &Device::vu9p(), Precision::Fix16);
+        let mut tilings = TilingMemo::default();
+        for node in g.iter() {
+            let row = d.node_latency(&g, node, &mut tilings);
+            assert_eq!(row, d.node_latency(&g, node, &mut TilingMemo::default()));
+        }
+        let layers = g.compute_layers().count();
+        assert!(4 * tilings.len() < layers, "{} of {layers}", tilings.len());
+    }
+
+    #[test]
     fn fc_latency_is_weight_bound() {
         // Batch-1 FC layers are the canonical memory-bound case.
         let g = zoo::vgg16();
         let d = AccelDesign::explore(&g, &Device::vu9p(), Precision::Fix16);
         let fc6 = g.node_by_name("fc6").unwrap();
-        let row = d.node_latency(&g, fc6);
+        let row = d.node_latency(&g, fc6, &mut TilingMemo::default());
         assert!(row.weight > row.compute, "fc6 should be weight bound");
     }
 }

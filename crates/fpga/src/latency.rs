@@ -7,6 +7,7 @@
 //! compute overlap through double buffering, so the slowest term governs.
 
 use crate::design::AccelDesign;
+use crate::tiling::TilingMemo;
 use lcmm_graph::{Graph, Node, NodeId, OpKind};
 use serde::{Deserialize, Serialize};
 
@@ -112,9 +113,10 @@ impl GraphProfile {
     /// scramble its risk ordering.
     #[must_use]
     pub fn build(graph: &Graph, design: &AccelDesign) -> Self {
+        let mut tilings = TilingMemo::default();
         let per_node = graph
             .iter()
-            .map(|node| design.node_latency(graph, node))
+            .map(|node| design.node_latency(graph, node, &mut tilings))
             .collect();
         let profile = Self { per_node };
         profile
@@ -131,14 +133,14 @@ impl GraphProfile {
     pub fn validate(&self) -> Result<(), String> {
         let ok = |t: f64| t.is_finite() && t >= 0.0;
         for row in &self.per_node {
-            let mut terms = vec![
+            let terms = [
                 ("compute", row.compute),
                 ("weight", row.weight),
                 ("output", row.output),
                 ("fill", row.fill),
             ];
-            terms.extend(row.inputs.iter().map(|&(_, t)| ("input", t)));
-            for (name, t) in terms {
+            let inputs = row.inputs.iter().map(|&(_, t)| ("input", t));
+            for (name, t) in terms.into_iter().chain(inputs) {
                 if !ok(t) {
                     return Err(format!(
                         "node {} has an invalid {name} latency: {t}",

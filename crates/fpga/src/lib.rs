@@ -41,6 +41,4 @@ pub use device::{DdrConfig, Device, DDR_CHUNK_OVERHEAD_BYTES};
 pub use latency::{resolved_sources, Boundedness, GraphProfile, OpLatency, TensorKind};
 pub use precision::Precision;
 pub use resources::{MemoryPacking, ResourceReport};
-pub use tiling::{
-    choose_tiling, choose_tiling_uncached, tiling_cache_entries, LoopOrder, TileBudget, TileChoice,
-};
+pub use tiling::{choose_tiling, LoopOrder, TileBudget, TileChoice};

@@ -5,12 +5,16 @@
 //! the affected loop is blocked, and one of the operands must be reloaded
 //! from DRAM once per block of another — this multiplied traffic is where
 //! much of the memory-boundedness of large layers comes from.
+//!
+//! [`choose_tiling`] is a pure function of its arguments and keeps no
+//! state. [`crate::GraphProfile::build`] memoizes it for the length of
+//! one build, so a net's repeated layer shapes are enumerated once and
+//! no tiling outlives the table it was chosen for.
 
 use crate::precision::Precision;
 use lcmm_graph::fast_hash::FxHashMap;
 use lcmm_graph::{ConvParams, FeatureShape};
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 
 /// Single-buffer (not double-buffered) capacities of the three tile
 /// buffers, in bytes.
@@ -107,25 +111,13 @@ impl TileChoice {
     }
 }
 
-/// Memoization key for [`choose_tiling`]: the full argument tuple. Deep
-/// networks repeat a handful of layer configurations hundreds of times
-/// (every residual block of a stage shares shapes), so the enumeration
-/// below is worth caching.
-type TilingKey = (
-    FeatureShape,
-    FeatureShape,
-    ConvParams,
-    Precision,
-    TileBudget,
-);
-
-thread_local! {
-    /// Per-thread tiling cache. `choose_tiling` is a pure function of
-    /// its arguments, so threads computing the same key independently
-    /// still agree — parallel harness runs stay deterministic.
-    static TILING_CACHE: RefCell<FxHashMap<TilingKey, TileChoice>> =
-        RefCell::new(FxHashMap::default());
-}
+/// The tilings of one profile build, keyed by a layer's input shape,
+/// output shape and conv parameters; precision and tile budget are the
+/// design's, fixed for the build. Deep networks repeat a handful of
+/// layer configurations hundreds of times (every residual block of a
+/// stage shares shapes), so [`crate::GraphProfile::build`] enumerates
+/// each configuration once and drops the memo when the table is built.
+pub(crate) type TilingMemo = FxHashMap<(FeatureShape, FeatureShape, ConvParams), TileChoice>;
 
 /// Chooses a tiling for a convolution layer.
 ///
@@ -133,36 +125,8 @@ thread_local! {
 /// `budget`, evaluates both loop orders, and returns the choice that
 /// minimises the worst per-interface transfer time (interfaces run in
 /// parallel, so the max is what shows up in the layer's latency).
-///
-/// Results are memoized per thread by the full argument tuple; use
-/// [`choose_tiling_uncached`] to force the enumeration (benchmarks).
 #[must_use]
 pub fn choose_tiling(
-    input: FeatureShape,
-    output: FeatureShape,
-    params: &ConvParams,
-    precision: Precision,
-    budget: &TileBudget,
-) -> TileChoice {
-    let key = (input, output, *params, precision, *budget);
-    if let Some(hit) = TILING_CACHE.with(|c| c.borrow().get(&key).copied()) {
-        return hit;
-    }
-    let choice = choose_tiling_uncached(input, output, params, precision, budget);
-    TILING_CACHE.with(|c| c.borrow_mut().insert(key, choice));
-    choice
-}
-
-/// Number of distinct layer configurations cached on this thread.
-/// Diagnostic for benchmarks sizing the memoization win.
-#[must_use]
-pub fn tiling_cache_entries() -> usize {
-    TILING_CACHE.with(|c| c.borrow().len())
-}
-
-/// The uncached tiling enumeration behind [`choose_tiling`].
-#[must_use]
-pub fn choose_tiling_uncached(
     input: FeatureShape,
     output: FeatureShape,
     params: &ConvParams,
@@ -177,35 +141,19 @@ pub fn choose_tiling_uncached(
     let wt_bytes = params.weight_elems(c) * b;
     let of_bytes = output.elems() * b;
 
-    // Candidate lists and every per-candidate quantity that does not
-    // involve all three tile extents are loop invariants; hoisting them
-    // to the loop level where they are determined keeps the deep-network
-    // profile pass cheap. The visit order and the exact float
-    // expressions (values and association) are unchanged, so the chosen
-    // tiling is bit-identical to the naive nesting.
-    let tms = dim_candidates(m);
-    let tcs = dim_candidates(c);
-    let ths = dim_candidates(oh);
-    // Per-Th invariants: halo'd input rows, spatial tile count, and the
-    // input-stationary weight traffic `wt_bytes * n_s`.
-    let th_rows: Vec<u64> = ths
-        .iter()
-        .map(|&th| {
-            let ih = (th - 1) * params.stride_h + params.kernel_h;
-            (ih.min(input.height) * input.width) as u64
-        })
-        .collect();
-    let th_n_s: Vec<f64> = ths.iter().map(|&th| oh.div_ceil(th) as f64).collect();
-    let th_wt_is: Vec<f64> = th_n_s.iter().map(|&n_s| wt_bytes as f64 * n_s).collect();
-    // `x * 1.0` is exact for finite floats, so the reload-1 traffic is
-    // just the tensor size.
+    // Every per-candidate quantity that does not involve all three tile
+    // extents is computed at the loop level where it is determined. The
+    // visit order and the exact float expressions (values and
+    // association) are those of the naive nesting, so the chosen tiling
+    // is bit-identical to it. `x * 1.0` is exact for finite floats, so
+    // the reload-1 traffic is just the tensor size.
     let wt_ws = wt_bytes as f64;
     let if_is = if_bytes as f64;
     let mut best: Option<(f64, TileChoice)> = None;
-    for &tm in &tms {
+    for tm in dim_candidates(m) {
         let n_m = m.div_ceil(tm) as f64;
         let if_ws = if_bytes as f64 * n_m;
-        for &tc in &tcs {
+        for tc in dim_candidates(c) {
             let wb_use = (tm * tc) as u64 * k_elems * b;
             if wb_use > budget.wb_bytes {
                 continue;
@@ -222,17 +170,19 @@ pub fn choose_tiling_uncached(
                     continue;
                 }
             }
-            for (ti, &th) in ths.iter().enumerate() {
-                let ib_use = tc as u64 * th_rows[ti] * b;
+            for th in dim_candidates(oh) {
+                // Halo'd input rows of one spatial tile.
+                let ih = (th - 1) * params.stride_h + params.kernel_h;
+                let ib_use = tc as u64 * (ih.min(input.height) * input.width) as u64 * b;
                 let ob_use = (tm * th * ow) as u64 * b;
                 if ib_use > budget.ib_bytes || ob_use > budget.ob_bytes {
                     continue;
                 }
-                let n_s = th_n_s[ti];
+                let n_s = oh.div_ceil(th) as f64;
                 for order in [LoopOrder::WeightStationary, LoopOrder::InputStationary] {
                     let (reload_if, reload_wt, if_t, wt_t) = match order {
                         LoopOrder::WeightStationary => (n_m, 1.0, if_ws, wt_ws),
-                        LoopOrder::InputStationary => (1.0, n_s, if_is, th_wt_is[ti]),
+                        LoopOrder::InputStationary => (1.0, n_s, if_is, wt_bytes as f64 * n_s),
                     };
                     // Interfaces are parallel; the max governs latency.
                     // A small total-traffic term breaks ties: secondary
@@ -263,6 +213,12 @@ pub fn choose_tiling_uncached(
                         ));
                     }
                 }
+                // Tiles only grow with Th, so the Ths that fit are the
+                // tail of this largest-first list, and the first of them
+                // wins over the rest: weight-stationary scores the same
+                // at every Th, input-stationary no better at a smaller
+                // one, and a smaller tile loses ties.
+                break;
             }
         }
     }
@@ -284,20 +240,9 @@ pub fn choose_tiling_uncached(
 }
 
 /// Candidate tile extents for a dimension of size `n`: the full size and
-/// halvings of it, deduplicated, largest first.
-fn dim_candidates(n: usize) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut v = n;
-    loop {
-        if !out.contains(&v) {
-            out.push(v);
-        }
-        if v == 1 {
-            break;
-        }
-        v = v.div_ceil(2);
-    }
-    out
+/// its repeated halvings (rounded up) down to 1, largest first.
+fn dim_candidates(n: usize) -> impl Iterator<Item = usize> {
+    std::iter::successors(Some(n), |&v| (v > 1).then(|| v.div_ceil(2)))
 }
 
 #[cfg(test)]
@@ -379,8 +324,8 @@ mod tests {
 
     #[test]
     fn dim_candidates_halve() {
-        assert_eq!(dim_candidates(17), vec![17, 9, 5, 3, 2, 1]);
-        assert_eq!(dim_candidates(1), vec![1]);
+        assert!(dim_candidates(17).eq([17, 9, 5, 3, 2, 1]));
+        assert!(dim_candidates(1).eq([1]));
     }
 
     #[test]
@@ -398,23 +343,6 @@ mod tests {
         assert!(t.tc < 512 || t.tm * t.tc * 9 * 2 <= 16 * 1024);
         if t.tc < 512 {
             assert!(t.reload_of > 1.0);
-        }
-    }
-
-    #[test]
-    fn cached_and_uncached_agree() {
-        let budget = TileBudget::default_umm();
-        for (c, hw, m, k) in [(64, 56, 192, 3), (512, 7, 512, 3), (1024, 17, 384, 1)] {
-            let input = FeatureShape::new(c, hw, hw);
-            let p = ConvParams::square(m, k, 1, k / 2);
-            let output = p.output_shape(input).unwrap();
-            for precision in [Precision::Fix8, Precision::Fix16, Precision::Float32] {
-                let cached = choose_tiling(input, output, &p, precision, &budget);
-                let again = choose_tiling(input, output, &p, precision, &budget);
-                let direct = choose_tiling_uncached(input, output, &p, precision, &budget);
-                assert_eq!(cached, direct);
-                assert_eq!(again, direct);
-            }
         }
     }
 

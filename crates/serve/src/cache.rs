@@ -138,25 +138,6 @@ impl PlanCache {
         }
     }
 
-    /// Drops every entry whose key starts with `prefix` and returns how
-    /// many were removed. The server invalidates `coplan:`-prefixed
-    /// entries on registry changes; their keys also carry the registry
-    /// digest, so this reclaims space rather than preventing stale hits.
-    pub fn invalidate_prefix(&self, prefix: &str) -> usize {
-        let mut map = lock_safe(&self.map);
-        let stale: Vec<String> = map
-            .keys()
-            .filter(|k| k.starts_with(prefix))
-            .cloned()
-            .collect();
-        for key in &stale {
-            map.remove(key);
-        }
-        self.invalidations
-            .fetch_add(stale.len() as u64, Ordering::Relaxed);
-        stale.len()
-    }
-
     /// Drops every entry carrying `tag` and returns how many were
     /// removed. Each dropped entry bumps the `invalidations` counter
     /// exactly once, however many tags it carried — the counter tracks
@@ -270,23 +251,6 @@ mod tests {
         assert_eq!(s.entries, 2);
         assert_eq!(s.evictions, 1);
         assert_eq!(s.invalidations, 0);
-    }
-
-    #[test]
-    fn prefix_invalidation_counts_and_spares_other_keys() {
-        let c = PlanCache::new(8);
-        c.put("coplan:x".into(), "X".into());
-        c.put("coplan:y".into(), "Y".into());
-        c.put("plan:z".into(), "Z".into());
-        assert_eq!(c.invalidate_prefix("coplan:"), 2);
-        assert!(c.get("coplan:x").is_none());
-        assert!(c.get("plan:z").is_some());
-        let s = c.counters();
-        assert_eq!(s.invalidations, 2);
-        assert_eq!(s.evictions, 0);
-        assert_eq!(s.entries, 1);
-        // Idempotent: nothing left to drop.
-        assert_eq!(c.invalidate_prefix("coplan:"), 0);
     }
 
     #[test]

@@ -1209,8 +1209,8 @@ fn watcher_loop(inner: &Arc<Inner>, budget: Duration) {
     }
 }
 
-/// Key prefix of cached co-plans — the namespace registry changes
-/// invalidate.
+/// Key prefix of cached co-plans, which keeps them apart from plan
+/// keys. Registry changes invalidate co-plans by their `model:` tags.
 const COPLAN_KEY_PREFIX: &str = "coplan:";
 
 /// Digest of a canonical fingerprint string. Two hex-encoded FNV-1a
@@ -1241,7 +1241,7 @@ fn cache_key(resolved: &ResolvedPlan) -> String {
 /// Cache key of a co-plan: covers the *full tenant set* — every
 /// registered model's name, graph, precision, weight and share — plus
 /// the device and options, so any registry change resolves to a new
-/// key (a forced miss) even before the explicit prefix invalidation
+/// key (a forced miss) even before the `model:` tag invalidation
 /// reclaims the stale entries.
 fn coplan_cache_key(
     registry: &[(String, Registered)],

@@ -179,7 +179,6 @@ fn tenant_value(
     ])
 }
 
-#[allow(clippy::too_many_arguments)]
 fn report(
     grid: &PreparedGrid,
     spec: &WorkloadSpec,
