@@ -71,15 +71,21 @@ echo "==> differential audit: grid + repro corpus + 8 random seeds + tiny-SRAM s
 # zoo at the default fractions pins every net's Off plan
 # (`pinned_latency`) and Auto plan (`streaming_latency`). See
 # docs/STREAMING.md. The same fractions descending replan each budget
-# from the buffer sets and DNNK tables the wider ones stored (an
-# ascending sweep never backtracks nor revisits a split key); its golden
-# holds the same records as sweep_budgets_3, in its own order.
+# from the buffer sets and DNNK tables the wider ones stored; its golden
+# holds the same records as sweep_budgets_3, in its own order. An
+# ascending sweep backtracks too once a key's table is refilled: a
+# refill runs at twice the stored width (docs/DELTA.md). The default
+# fractions double at each step, so there each refill is exactly the
+# next budget; the ascending sweep that does not double
+# (sweep_budgets_5, written before refills grew) pins that the wider
+# refills change no record.
 echo "==> sweep-budgets: skewed budgets and the full zoo vs checks/golden across --jobs"
 sweep_sets=(
   "--model alexnet --fractions 1/16,1/8"
   "--model squeezenet --fractions 1/16,1/8"
   ""
   "--fractions 1/1,1/2,1/4,1/8,1/16"
+  "--fractions 1/12,1/9,1/7,1/5,1/3,1/2,1/1"
 )
 sweep_i=0
 for sweep_set in "${sweep_sets[@]}"; do
@@ -104,12 +110,16 @@ done
 # outcomes) must match their goldens once the wall-clock `*_seconds`
 # lines are dropped. table1 runs 9 one-shot plans; the descending sweep
 # replays 110 budgets on cached artifact sets, 88 of them backtracking
-# from stored DNNK tables. --jobs 1 only: at --jobs 4, runs sharing an
-# artifact set race for its tables, so table hits and DP cells vary.
-echo "==> pass counters: --profile vs checks/golden/profile_{1,2}.json"
+# from stored DNNK tables; the ascending sweep that does not double
+# replays 154, whose 265 DP runs include refills at twice the stored
+# width and whose 61 table hits are budgets those refills answer.
+# --jobs 1 only: at --jobs 4, runs sharing an artifact set race for its
+# tables, so table hits and DP cells vary.
+echo "==> pass counters: --profile vs checks/golden/profile_{1,2,3}.json"
 profile_sets=(
   "table1"
   "sweep-budgets --fractions 1/1,1/2,1/4,1/8,1/16 --json"
+  "sweep-budgets --fractions 1/12,1/9,1/7,1/5,1/3,1/2,1/1 --json"
 )
 profile_i=0
 for profile_set in "${profile_sets[@]}"; do

@@ -234,9 +234,12 @@ struct KeyEntry {
 /// set, and with it every DP row, is a function of that key, and the
 /// budget decides only the table width. Each key keeps its buffer set
 /// and its widest table.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct TableMemo {
     entries: Mutex<HashMap<Vec<FalseEdge>, KeyEntry>>,
+    /// The artifact set's full budget in capacity units: no refill is
+    /// wider, since no replan asks for more.
+    full_units: usize,
 }
 
 /// What an artifact set's split-key memo holds (see
@@ -255,6 +258,15 @@ pub struct MemoFootprint {
 }
 
 impl TableMemo {
+    /// An empty memo for an artifact set whose full budget is
+    /// `full_units` capacity units.
+    pub(crate) fn new(full_units: usize) -> Self {
+        Self {
+            entries: Mutex::default(),
+            full_units,
+        }
+    }
+
     /// The buffer set of `edges`: the stored one, or else `color()`'s,
     /// which is stored if the memo has room. Coloring runs outside the
     /// lock; two threads may color one key at once, and equal keys give
@@ -290,8 +302,13 @@ impl TableMemo {
 
     /// [`allocate`] for a problem whose buffers are the coloring under
     /// `edges`: a backtrack from the stored table when it is wide enough
-    /// for the budget; otherwise the DP [`allocate`] runs, whose table is
-    /// then kept if it is wider than the stored one.
+    /// for the budget. Otherwise a DP runs and its table is offered to
+    /// the memo. A key's first fill runs at the budget's width, as
+    /// [`allocate`] does. A refill of a stored table too narrow for the
+    /// budget runs at twice the stored width, within the budget's and
+    /// the full budget's width: it is at most twice as wide as its
+    /// request, and a key runs at most `1 + ⌈log₂(full / first)⌉` DPs
+    /// over any order of budgets.
     pub(crate) fn allocate(&self, problem: &AllocProblem<'_>, edges: &[FalseEdge]) -> AllocOutcome {
         let n = problem.buffers.len();
         let units = budget_units(problem);
@@ -299,11 +316,15 @@ impl TableMemo {
             return AllocOutcome::from_chosen(problem, vec![false; n]);
         }
         let stored = self.lock().get(edges).and_then(|e| e.table.clone());
-        if let Some(table) = stored.filter(|t| t.units >= units) {
-            problem.evaluator.count(|s| s.dnnk_table_hits += 1);
-            return backtrack(problem, &table, units);
-        }
-        let table = dp(problem, units).table;
+        let width = match stored {
+            Some(table) if table.units >= units => {
+                problem.evaluator.count(|s| s.dnnk_table_hits += 1);
+                return backtrack(problem, &table, units);
+            }
+            Some(table) => (2 * table.units).min(self.full_units).max(units),
+            None => units,
+        };
+        let table = dp(problem, width).table;
         let outcome = backtrack(problem, &table, units);
         self.offer(edges, table);
         outcome
@@ -567,19 +588,34 @@ fn dp(problem: &AllocProblem<'_>, units: usize) -> DpTables {
             lat_ctx - lat_with
         };
 
-        // Context key per column, built by transposing the chosen rows
-        // (sequential sweeps) instead of gathering `relevant.len()`
-        // scattered bits per cell.
-        let keys: Vec<u64> = if use_cache {
-            let mut keys = vec![0u64; units + 1];
+        // The context key of a column changes only where a relevant
+        // row's taken runs start or end, so it is built from the rows'
+        // runs as `(first column, key)` runs: each taken run toggles its
+        // bit at its first column and again past its end. Adjacent runs
+        // with equal keys merge.
+        let key_runs: Vec<(usize, u64)> = if use_cache {
+            let mut toggles: Vec<(usize, u64)> = Vec::new();
             for (bit, &r) in relevant.iter().enumerate() {
                 table.for_each_taken(r, |first, end| {
-                    for k in &mut keys[first..end] {
-                        *k |= 1 << bit;
+                    toggles.push((first, 1 << bit));
+                    if end <= units {
+                        toggles.push((end, 1 << bit));
                     }
                 });
             }
-            keys
+            toggles.sort_unstable_by_key(|&(column, _)| column);
+            let mut runs = vec![(0, 0u64)];
+            for (column, bit) in toggles {
+                let last = runs.last_mut().expect("the column-0 run");
+                let key = last.1 ^ bit;
+                if last.0 == column {
+                    last.1 = key;
+                } else {
+                    runs.push((column, key));
+                }
+            }
+            runs.dedup_by_key(|run| run.1);
+            runs
         } else {
             Vec::new()
         };
@@ -615,10 +651,30 @@ fn dp(problem: &AllocProblem<'_>, units: usize) -> DpTables {
             // options under the same context.
             let mut gain_cache: Vec<(u64, f64)> = Vec::new();
             let mut op_memo: Vec<Vec<(u64, f64)>> = vec![Vec::new(); op_masks.len()];
-            for j in size..=units {
-                let gain = if use_cache {
-                    let key = keys[j];
-                    if let Some(&(_, g)) = gain_cache.iter().find(|&&(k, _)| k == key) {
+            // The knapsack step over a run of columns at one gain: cell
+            // `j` takes the option on a strict gain over the previous
+            // row's cell `j - size`.
+            let taken = oi as u8 + 1;
+            let mut relax = |columns: std::ops::Range<usize>, gain: f64| {
+                let prev = &prev_l[columns.start - size..columns.end - size];
+                let cells = cur_l[columns.clone()].iter_mut();
+                for ((cur, state), &p) in cells.zip(&mut row_states[columns]).zip(prev) {
+                    let l1 = p + gain;
+                    if l1 > *cur {
+                        *cur = l1;
+                        *state = taken;
+                    }
+                }
+            };
+            if use_cache {
+                // One lookup per key run over `size..=units`. The run's
+                // first column is the hit or miss a per-column lookup
+                // scores there, and its other columns are hits.
+                let first = key_runs.partition_point(|&(start, _)| start <= size) - 1;
+                for (r, &(start, key)) in key_runs.iter().enumerate().skip(first) {
+                    let end = key_runs.get(r + 1).map_or(units + 1, |&(next, _)| next);
+                    let columns = start.max(size)..end;
+                    let gain = if let Some(&(_, g)) = gain_cache.iter().find(|&&(k, _)| k == key) {
                         hits += 1;
                         g
                     } else {
@@ -637,8 +693,12 @@ fn dp(problem: &AllocProblem<'_>, units: usize) -> DpTables {
                             .sum();
                         gain_cache.push((key, g));
                         g
-                    }
-                } else {
+                    };
+                    hits += (columns.len() - 1) as u64;
+                    relax(columns, gain);
+                }
+            } else {
+                for j in size..=units {
                     exact += 1;
                     // Residency context at this capacity (the pbuf_table
                     // approximation of Alg. 1).
@@ -648,18 +708,14 @@ fn dp(problem: &AllocProblem<'_>, units: usize) -> DpTables {
                     let with_i = |v: ValueId| -> bool {
                         ctx_on(v) || members_sorted.binary_search(&v).is_ok()
                     };
-                    touched
+                    let gain = touched
                         .iter()
                         .map(|&op| {
                             let t = &op_terms[op.index()];
                             t.latency(&ctx_on, None) - t.latency(&with_i, own)
                         })
-                        .sum()
-                };
-                let l1 = prev_l[j - size] + gain;
-                if l1 > cur_l[j] {
-                    cur_l[j] = l1;
-                    row_states[j] = oi as u8 + 1;
+                        .sum();
+                    relax(j..j + 1, gain);
                 }
             }
         }
@@ -846,9 +902,11 @@ mod tests {
         let ev = Evaluator::new(&g, &p);
         let bufs = singleton_buffers(&g, &ev);
         let plan = PrefetchPlan::default();
-        let memo = TableMemo::default();
+        let memo = TableMemo::new(200);
         let colorings = std::cell::Cell::new(0);
         let at = |units: u64| AllocProblem::new(&ev, &bufs, units * CAPACITY_UNIT_BYTES, &plan);
+        // A DP at `width` columns fills one cell per buffer per column.
+        let dp_at = |width: usize| (0, (bufs.len() * (width + 1)) as u64);
         // The split loop's order: the key's buffer set, then its
         // allocation. A table is kept only beside a stored buffer set.
         let hits_of = |problem: &AllocProblem<'_>, edges: &[FalseEdge]| {
@@ -861,22 +919,30 @@ mod tests {
             let out = memo.allocate(problem, edges);
             let c = ev.take_stats();
             assert_eq!(out.chosen, allocate(problem).chosen);
+            assert_eq!(out.modes, allocate(problem).modes);
             (c.dnnk_table_hits, c.dnnk_dp_cells)
         };
-        // A miss runs and stores the DP; a budget as wide or narrower
-        // backtracks and fills no cell; one unit wider runs the DP and
-        // replaces the table.
-        assert!(matches!(hits_of(&at(40), &[]), (0, cells) if cells > 0));
+        // A first fill runs at the request's width; a budget inside the
+        // stored width backtracks and fills no cell.
+        assert_eq!(hits_of(&at(30), &[]), dp_at(30));
         assert_eq!(hits_of(&at(10), &[]), (1, 0));
-        assert_eq!(hits_of(&at(40), &[]), (1, 0));
-        assert!(matches!(hits_of(&at(41), &[]), (0, cells) if cells > 0));
-        assert!(matches!(hits_of(&at(80), &[]), (0, cells) if cells > 0));
+        assert_eq!(hits_of(&at(30), &[]), (1, 0));
+        // A refill runs at twice the stored width...
+        assert_eq!(hits_of(&at(31), &[]), dp_at(60));
         assert_eq!(hits_of(&at(60), &[]), (1, 0));
+        assert_eq!(hits_of(&at(45), &[]), (1, 0));
+        // ...but never narrower than its request...
+        assert_eq!(hits_of(&at(150), &[]), dp_at(150));
+        // ...nor wider than the full budget.
+        assert_eq!(hits_of(&at(151), &[]), dp_at(200));
+        assert_eq!(hits_of(&at(200), &[]), (1, 0));
+        assert_eq!(hits_of(&at(170), &[]), (1, 0));
         assert_eq!(colorings.get(), 1, "a stored buffer set is read");
         let footprint = memo.footprint();
         assert_eq!((footprint.keys, footprint.tables), (1, 1));
         // Other keys fill the memo up to its cap; past it, a new key's
-        // buffer set is colored, and its DP run, without being stored.
+        // buffer set is colored, and its DP run at the request's width,
+        // without being stored.
         let edge = |k: usize| {
             let v = ValueId::Feature(NodeId::new(k));
             (v, ValueId::Weight(NodeId::new(k)))
@@ -890,14 +956,43 @@ mod tests {
         assert!(footprint.buffer_bytes > 0 && footprint.table_bytes > 0);
         let colored = colorings.get();
         let past_cap = [edge(MAX_STORED_TABLES + 2)];
-        assert!(matches!(hits_of(&at(10), &past_cap), (0, cells) if cells > 0));
+        assert_eq!(hits_of(&at(10), &past_cap), dp_at(10));
+        assert_eq!(hits_of(&at(30), &past_cap), dp_at(30));
         assert_eq!(
             colorings.get(),
-            colored + 1,
+            colored + 2,
             "past the cap, every call colors"
         );
         assert_eq!(hits_of(&at(10), &[edge(1)]), (1, 0));
-        assert_eq!(colorings.get(), colored + 1);
+        assert_eq!(colorings.get(), colored + 2);
+    }
+
+    /// The DP looks a gain up once per run of equal context keys but
+    /// counts the gain cache per column: hits and misses add up to one
+    /// per column each option sweeps.
+    #[test]
+    fn gain_cache_counts_every_swept_column() {
+        use crate::prefetch::StreamingMode;
+        let g = chain_graph();
+        let (d, p) = setup(&g);
+        let ev = Evaluator::new(&g, &p);
+        let plan = real_plan(&g, &d, &p);
+        let bufs = singleton_buffers(&g, &ev);
+        let units = 200;
+        let budget = units as u64 * CAPACITY_UNIT_BYTES;
+        let problem = AllocProblem::with_streaming(&ev, &bufs, budget, &plan, StreamingMode::Auto);
+        ev.take_stats();
+        dp(&problem, units);
+        let c = ev.take_stats();
+        let swept: u64 = (0..bufs.len())
+            .flat_map(|i| problem.options_of(i))
+            .map(|option| capacity_units(option.bytes))
+            .filter(|size| (1..=units).contains(size))
+            .map(|size| (units + 1 - size) as u64)
+            .sum();
+        assert_eq!(c.gain_exact_recomputes, 0, "every row fits the cache key");
+        assert!(c.gain_cache_misses > 0 && c.gain_cache_hits > c.gain_cache_misses);
+        assert_eq!(c.gain_cache_hits + c.gain_cache_misses, swept);
     }
 
     #[test]

@@ -115,6 +115,9 @@ impl PlanArtifacts {
         let front = build_front_end(
             graph, effective, &evaluator, &design, &options, &fusion, cancel,
         )?;
+        // Replans clamp their budget to the design's, so no refill of a
+        // stored table needs to be wider.
+        let memo = TableMemo::new((design.tensor_sram_budget() / CAPACITY_UNIT_BYTES) as usize);
         Ok(Self {
             design,
             profile,
@@ -124,7 +127,7 @@ impl PlanArtifacts {
             graph_name: graph.name().to_string(),
             graph_nodes: graph.len(),
             curves: Mutex::new(HashMap::new()),
-            memo: TableMemo::default(),
+            memo,
             front_end_reported: AtomicBool::new(false),
         })
     }

@@ -16,7 +16,7 @@
 //! recoloring (`docs/DELTA.md`, "The DNNK table memo").
 
 use crate::alloc::dnnk::TableMemo;
-use crate::alloc::{AllocOutcome, AllocProblem};
+use crate::alloc::{AllocOutcome, AllocProblem, CAPACITY_UNIT_BYTES};
 use crate::eval::{Evaluator, Residency};
 use crate::interference::{false_edge, FalseEdge, InterferenceGraph, VirtualBuffer};
 use crate::prefetch::{PrefetchPlan, StreamingMode};
@@ -109,10 +109,11 @@ pub fn refine(
         weight_graph: &weight_graph,
     };
     // One loop never revisits a key, so a throwaway memo stores nothing
-    // this run reads again.
+    // this run reads again, and never refills a table.
+    let budget_units = (budget_bytes / CAPACITY_UNIT_BYTES) as usize;
     refine_from(
         &inputs,
-        &TableMemo::default(),
+        &TableMemo::new(budget_units),
         &|problem, _| allocator(problem),
         config,
     )

@@ -244,6 +244,10 @@ impl Slot {
 /// One admitted plan request.
 struct Job {
     request: WireRequest,
+    /// The request resolved and keyed at admission, when the admission
+    /// probe could do that without a graph build; the worker resolves
+    /// and keys the rest.
+    probed: Option<(ResolvedPlan, String)>,
     cancel: CancelToken,
     slot: Arc<Slot>,
 }
@@ -771,10 +775,13 @@ impl Server {
         // deadline, takes the queue's way, so it answers `shutting_down`
         // or `timeout` as before.
         let probe = request.op == Op::Plan && !self.is_shutting_down() && !cancel.is_expired();
+        let mut probed = None;
         if let Some(resolved) = probe.then(|| request.resolve_built_plan()).flatten() {
             // A miss is not counted here: the worker's own lookup
-            // counts it, or answers a hit stored in the meantime.
-            if let Some(stored) = inner.cache.probe(&cache_key(&resolved)) {
+            // counts it, or answers a hit stored in the meantime. The
+            // worker reuses this resolution and key.
+            let key = cache_key(&resolved);
+            if let Some(stored) = inner.cache.probe(&key) {
                 inner.plans_completed.fetch_add(1, Ordering::Relaxed);
                 return Some(plan_line(
                     request.id,
@@ -784,6 +791,7 @@ impl Server {
                     request.v,
                 ));
             }
+            probed = Some((resolved, key));
         }
         {
             let mut queue = lock_safe(&inner.queue);
@@ -814,6 +822,7 @@ impl Server {
             }
             queue.jobs.push_back(Job {
                 request,
+                probed,
                 cancel,
                 slot: Arc::clone(slot),
             });
@@ -1303,15 +1312,25 @@ fn process_plan(inner: &Arc<Inner>, job: &Job) -> String {
     if request.op == Op::Workload {
         return process_workload(inner, job);
     }
-    let resolved = match request.resolve_plan() {
-        Ok(resolved) => resolved,
-        Err(err) => return answer_err(&err),
+    // A request the admission probe resolved and keyed is not resolved
+    // and keyed again.
+    let fresh;
+    let (resolved, key) = match &job.probed {
+        Some(probed) => probed,
+        None => {
+            let resolved = match request.resolve_plan() {
+                Ok(resolved) => resolved,
+                Err(err) => return answer_err(&err),
+            };
+            if let Err(err) = job.cancel.check() {
+                return answer_err(&err);
+            }
+            let key = cache_key(&resolved);
+            fresh = (resolved, key);
+            &fresh
+        }
     };
-    if let Err(err) = job.cancel.check() {
-        return answer_err(&err);
-    }
-    let key = cache_key(&resolved);
-    if let Some(stored) = inner.cache.get(&key) {
+    if let Some(stored) = inner.cache.get(key) {
         inner.plans_completed.fetch_add(1, Ordering::Relaxed);
         return plan_line(request.id, Payload::Json(&stored), true, None, request.v);
     }
@@ -1349,7 +1368,7 @@ fn process_plan(inner: &Arc<Inner>, job: &Job) -> String {
         Err(err) => return answer_err(&err),
     };
     record_pass_stats(inner, &result.stats, front_end);
-    let plan = plan_summary(&resolved, &result, &umm);
+    let plan = plan_summary(resolved, &result, &umm);
     let stored = serde_json::to_string(&plan).expect("plan summary serialises");
     let pass_stats = request
         .include_stats
@@ -1361,7 +1380,7 @@ fn process_plan(inner: &Arc<Inner>, job: &Job) -> String {
         pass_stats.as_ref(),
         request.v,
     );
-    store(inner, key, stored, Vec::new());
+    store(inner, key.clone(), stored, Vec::new());
     inner.plans_completed.fetch_add(1, Ordering::Relaxed);
     line
 }

@@ -46,13 +46,7 @@ impl LatencyHistogram {
         if !seconds.is_finite() || seconds < 0.0 {
             return;
         }
-        let us = (seconds * 1e6).floor();
-        let bucket = if us < 1.0 {
-            0
-        } else {
-            ((us.log2().floor() as usize) + 1).min(BUCKETS - 1)
-        };
-        self.buckets[bucket] += 1;
+        self.buckets[bucket_of((seconds * 1e6).floor())] += 1;
         self.count += 1;
         self.total_seconds += seconds;
         if seconds > self.max_seconds {
@@ -99,6 +93,14 @@ impl LatencyHistogram {
             ("mean_seconds".to_string(), Value::F64(self.mean_seconds())),
         ])
     }
+}
+
+/// The bucket of a whole, non-negative number of microseconds: its bit
+/// length, so 0 µs is bucket 0 and `[2^(i-1), 2^i)` µs is bucket `i`,
+/// clamped to the last bucket. The cast saturates past `u64::MAX`.
+fn bucket_of(us: f64) -> usize {
+    let bits = u64::BITS - (us as u64).leading_zeros();
+    (bits as usize).min(BUCKETS - 1)
 }
 
 /// `[lo, hi)` microsecond bounds of bucket `i`.
@@ -158,6 +160,30 @@ mod tests {
         assert!((h.mean_seconds() - 2.0).abs() < 1e-12);
         let v = h.to_value();
         assert_eq!(v.get("max_seconds").and_then(Value::as_f64), Some(3.0));
+    }
+
+    /// The bit-length bucket is the `⌊log₂ us⌋ + 1` bucket it replaced:
+    /// they agree on every `us` below 2^38, and the clamp to the last
+    /// bucket covers the rest.
+    #[test]
+    fn bit_length_buckets_match_the_log2_rule() {
+        let by_log2 = |us: f64| {
+            if us < 1.0 {
+                0
+            } else {
+                ((us.log2().floor() as usize) + 1).min(BUCKETS - 1)
+            }
+        };
+        for us in 0..1u64 << 24 {
+            assert_eq!(bucket_of(us as f64), by_log2(us as f64), "{us} us");
+        }
+        for shift in 24..=52 {
+            let power = 1u64 << shift;
+            for us in power - 2..=power + 2 {
+                assert_eq!(bucket_of(us as f64), by_log2(us as f64), "{us} us");
+            }
+        }
+        assert_eq!(bucket_of(1e300), BUCKETS - 1);
     }
 
     #[test]
