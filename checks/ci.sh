@@ -223,6 +223,20 @@ done
 echo "==> protocol compat: frozen v1 surface corpus"
 cargo test --offline -q -p lcmm-serve --test protocol_compat
 
+# Serve session gate: one scripted session over `lcmm serve --stdio` —
+# registry writes (a new share, an identical re-register, an unregister)
+# between co-plans, routes and a workload — diffed line for line against
+# checks/golden/serve_session_1.json. It pins co-plan and route replies
+# across registry writes, hits and misses alike, where the smoke gate
+# below pins single plan replies.
+echo "==> serve session: scripted registry/co-plan session vs checks/golden"
+"$bin" serve --stdio --workers 2 <checks/serve_session_1.jsonl >/tmp/ci_serve_session.out 2>/dev/null
+if ! cmp -s /tmp/ci_serve_session.out checks/golden/serve_session_1.json; then
+  echo "FAIL: serve session replies differ from checks/golden/serve_session_1.json" >&2
+  diff checks/golden/serve_session_1.json /tmp/ci_serve_session.out >&2 || true
+  exit 1
+fi
+
 # Serve smoke gate: boot the daemon on an ephemeral port, issue five
 # plan requests through the one-shot client, and diff the responses
 # against checks/golden/ (plan payloads are deterministic by design —

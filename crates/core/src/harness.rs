@@ -7,11 +7,12 @@
 //! them three things:
 //!
 //! 1. **Memoization** — every artefact is cached behind a concurrent
-//!    map keyed by a deterministic JSON fingerprint of its inputs: the
-//!    graph part is the graph's memoized [`Graph::fingerprint_key`]
-//!    (one shared copy of its JSON per graph, not one per entry) and
-//!    the rest is serialized per key, so e.g. the three Fig. 8 ablation
-//!    variants share one profile of the common derated design.
+//!    map keyed by its inputs: the graph part is the graph's memoized
+//!    [`Graph::fingerprint_key`] (one shared copy of its JSON per graph,
+//!    not one per entry), and the device, design and options parts are
+//!    the values themselves, compared exactly ([`Exact`]), so a lookup
+//!    serializes nothing and e.g. the three Fig. 8 ablation variants
+//!    share one profile of the common derated design.
 //! 2. **Parallelism** — [`Harness::par_map`] fans a work list out over
 //!    `jobs` OS threads while preserving input order, so report output
 //!    is byte-identical between `--jobs 1` and any parallel run (the
@@ -27,6 +28,7 @@
 use crate::cancel::CancelToken;
 use crate::delta::PlanArtifacts;
 use crate::error::LcmmError;
+use crate::exact::Exact;
 use crate::pipeline::{LcmmOptions, LcmmResult, Pipeline};
 use crate::profiling::PassStats;
 use crate::umm::UmmBaseline;
@@ -35,26 +37,65 @@ use lcmm_graph::{Fingerprint, Graph};
 use serde::Serialize;
 use std::any::Any;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// A cache key: the graph's shared fingerprint and the `\u{1}`-joined
-/// JSON of the other inputs. Joined with `\u{1}` the two parts are the
-/// full serialized inputs, and the tuple orders exactly as that joined
-/// string would (compact JSON never contains a raw `\u{1}`).
-type Key = (Fingerprint, String);
+/// A cache key: the graph's shared fingerprint, then the other inputs
+/// of the artefact (`K`). Every part holds its full value, so equal
+/// keys mean equal inputs and no entry ever goes stale.
+type Key<K> = (Fingerprint, K);
+
+/// The key part past the graph of a design: the design compared
+/// exactly.
+type DesignKey = Exact<AccelDesign>;
+
+/// The key part past the graph of a delta-plan artifact set: the
+/// derated design and the options with `tensor_budget` set to `None`.
+type ArtifactKey = (Exact<AccelDesign>, Exact<LcmmOptions>);
+
+/// The key part past the graph of an LCMM result: the artifact key's
+/// parts and the budget, carried apart from the options so that no
+/// part is built per budget.
+type RunKey = (Exact<AccelDesign>, Exact<LcmmOptions>, Option<u64>);
+
+/// The key of `graph` planned on `design`.
+fn design_key(graph: &Graph, design: &AccelDesign) -> Key<DesignKey> {
+    (graph.fingerprint_key().clone(), Exact::new(design.clone()))
+}
+
+/// The key of `graph`'s artifact set on the derated `design` under
+/// `options`, whatever their budget.
+fn artifact_key(graph: &Graph, design: &AccelDesign, options: LcmmOptions) -> Key<ArtifactKey> {
+    (
+        graph.fingerprint_key().clone(),
+        (
+            Exact::new(design.clone()),
+            Exact::new(options.with_tensor_budget(None)),
+        ),
+    )
+}
+
+/// The key of `graph`'s result on the derated `design` under `options`.
+fn run_key(graph: &Graph, design: &AccelDesign, options: LcmmOptions) -> Key<RunKey> {
+    let (graph, (design, normalised)) = artifact_key(graph, design, options);
+    (graph, (design, normalised, options.tensor_budget))
+}
+
+/// One entry's value, set by the first computation that succeeds.
+type Cell<T> = Arc<OnceLock<Arc<T>>>;
 
 /// A concurrent memo table: one `OnceLock` per key so a value is
 /// computed exactly once even when several workers request it at the
 /// same moment (late arrivals block on the in-flight computation
 /// instead of redoing it).
-struct Cache<T> {
-    map: Mutex<HashMap<Key, Arc<OnceLock<Arc<T>>>>>,
+struct Cache<K, T> {
+    map: Mutex<HashMap<Key<K>, Cell<T>>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
 }
 
-impl<T> Cache<T> {
+impl<K: Eq + Hash + Clone, T> Cache<K, T> {
     fn new() -> Self {
         Self {
             map: Mutex::new(HashMap::new()),
@@ -63,7 +104,7 @@ impl<T> Cache<T> {
         }
     }
 
-    fn get_or_compute(&self, key: Key, compute: impl FnOnce() -> T) -> Arc<T> {
+    fn get_or_compute(&self, key: Key<K>, compute: impl FnOnce() -> T) -> Arc<T> {
         let cell = {
             let mut map = self.map.lock().expect("cache lock poisoned");
             map.entry(key)
@@ -92,7 +133,7 @@ impl<T> Cache<T> {
     /// values, so both threads still observe one shared `Arc`.
     fn try_get_or_compute<E>(
         &self,
-        key: Key,
+        key: Key<K>,
         compute: impl FnOnce() -> Result<T, E>,
     ) -> Result<Arc<T>, E> {
         let cell = {
@@ -113,14 +154,11 @@ impl<T> Cache<T> {
         }
     }
 
-    /// Every stored value, in key order.
-    fn values(&self) -> Vec<Arc<T>> {
+    /// Every stored value with its key, in no particular order.
+    fn entries(&self) -> Vec<(Key<K>, Arc<T>)> {
         let map = self.map.lock().expect("cache lock poisoned");
-        let mut entries: Vec<_> = map.iter().collect();
-        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        entries
-            .into_iter()
-            .filter_map(|(_, cell)| cell.get().cloned())
+        map.iter()
+            .filter_map(|(key, cell)| Some((key.clone(), cell.get()?.clone())))
             .collect()
     }
 
@@ -129,7 +167,7 @@ impl<T> Cache<T> {
     fn remove_graph(&self, graph: &Fingerprint) -> usize {
         let mut map = self.map.lock().expect("cache lock poisoned");
         let before = map.len();
-        map.retain(|key, _| key.0 != *graph);
+        map.retain(|(key_graph, _), _| key_graph != graph);
         before - map.len()
     }
 
@@ -223,11 +261,11 @@ impl MemoRun {
 /// The parallel, memoized evaluation harness.
 pub struct Harness {
     jobs: usize,
-    designs: Cache<AccelDesign>,
-    profiles: Cache<GraphProfile>,
-    baselines: Cache<UmmBaseline>,
-    results: Cache<MemoRun>,
-    artifacts: Cache<PlanArtifacts>,
+    designs: Cache<(Exact<Device>, Precision), AccelDesign>,
+    profiles: Cache<DesignKey, GraphProfile>,
+    baselines: Cache<DesignKey, UmmBaseline>,
+    results: Cache<RunKey, MemoRun>,
+    artifacts: Cache<ArtifactKey, PlanArtifacts>,
     derived_hits: AtomicUsize,
     derived_misses: AtomicUsize,
 }
@@ -240,12 +278,9 @@ impl std::fmt::Debug for Harness {
     }
 }
 
-/// Deterministic JSON fingerprint of a cache-key part. The vendored
-/// serializer emits maps and sets in sorted order, so equal values
-/// always fingerprint identically. Graphs use their memoized
-/// [`Graph::fingerprint`] instead, which is the same bytes.
-fn fp<T: Serialize>(value: &T) -> String {
-    serde_json::to_string(value).unwrap_or_else(|e| format!("<unserializable:{e}>"))
+/// Compact JSON of a key part, for the report's order of runs.
+fn json<T: Serialize>(value: &T) -> String {
+    serde_json::to_string(value).expect("key parts serialise")
 }
 
 /// Short human label for one pipeline run.
@@ -336,7 +371,7 @@ impl Harness {
     ) -> Result<Arc<AccelDesign>, LcmmError> {
         let key = (
             graph.fingerprint_key().clone(),
-            format!("{}\u{1}{}", fp(device), fp(&precision)),
+            (Exact::new(device.clone()), precision),
         );
         self.designs.try_get_or_compute(key, || {
             AccelDesign::try_explore(graph, device, precision).map_err(LcmmError::BudgetInfeasible)
@@ -345,8 +380,8 @@ impl Harness {
 
     /// The operation latency table of `design` on `graph`, memoized.
     pub fn profile(&self, graph: &Graph, design: &AccelDesign) -> Arc<GraphProfile> {
-        let key = (graph.fingerprint_key().clone(), fp(design));
-        self.profiles.get_or_compute(key, || design.profile(graph))
+        self.profiles
+            .get_or_compute(design_key(graph, design), || design.profile(graph))
     }
 
     /// The UMM baseline for a graph/device/precision triple, memoized
@@ -364,9 +399,10 @@ impl Harness {
     /// The UMM baseline of an explicit design (batch studies, granular
     /// DDR variants), memoized.
     pub fn baseline_from_design(&self, graph: &Graph, design: &AccelDesign) -> Arc<UmmBaseline> {
-        let key = (graph.fingerprint_key().clone(), fp(design));
         self.baselines
-            .get_or_compute(key, || UmmBaseline::from_design(graph, design.clone()))
+            .get_or_compute(design_key(graph, design), || {
+                UmmBaseline::from_design(graph, design.clone())
+            })
     }
 
     /// The LCMM result for a graph/device/precision triple under
@@ -425,10 +461,7 @@ impl Harness {
         cancel: Option<&CancelToken>,
     ) -> Result<Arc<LcmmResult>, LcmmError> {
         let design = Pipeline::new(options).lcmm_design(base.clone());
-        let key = (
-            graph.fingerprint_key().clone(),
-            format!("{}\u{1}{}", fp(&design), fp(&options)),
-        );
+        let key = run_key(graph, &design, options);
         let run = self.results.try_get_or_compute::<LcmmError>(key, || {
             let profile = self.profile(graph, &design);
             let result = PlanArtifacts::plan_once(graph, design.clone(), profile, options, cancel)?;
@@ -439,10 +472,10 @@ impl Harness {
 
     /// Budget-invariant delta-plan artifacts (passes 1–2 + gain-curve
     /// memo) for `graph` on the derated form of `base` under `options`,
-    /// memoized. The key normalises `options.tensor_budget` to `None`,
-    /// so every budget variant of a request shares one artifact set —
-    /// the cache key is effectively `(graph digest, design point,
-    /// precision, allocator, pass toggles)`.
+    /// memoized. The key leaves `options.tensor_budget` out, so every
+    /// budget variant of a request shares one artifact set — the cache
+    /// key is effectively `(graph, design point, precision, allocator,
+    /// pass toggles)`.
     pub fn try_artifacts(
         &self,
         graph: &Graph,
@@ -450,26 +483,20 @@ impl Harness {
         options: LcmmOptions,
         cancel: Option<&CancelToken>,
     ) -> Result<Arc<PlanArtifacts>, LcmmError> {
-        let options = options.with_tensor_budget(None);
         let design = Pipeline::new(options).lcmm_design(base.clone());
-        let key = (
-            graph.fingerprint_key().clone(),
-            format!("{}\u{1}{}", fp(&design), fp(&options)),
-        );
-        self.artifacts_keyed(key, graph, &design, options, cancel)
+        self.derated_artifacts(graph, &design, options, cancel)
     }
 
-    /// [`Harness::try_artifacts`] with a precomputed cache key, so
-    /// callers that already fingerprinted the request (the replan hot
-    /// path) do not serialise the design a second time.
-    fn artifacts_keyed(
+    /// [`Harness::try_artifacts`] on an already derated `design`.
+    fn derated_artifacts(
         &self,
-        key: Key,
         graph: &Graph,
         design: &AccelDesign,
         options: LcmmOptions,
         cancel: Option<&CancelToken>,
     ) -> Result<Arc<PlanArtifacts>, LcmmError> {
+        let options = options.with_tensor_budget(None);
+        let key = artifact_key(graph, design, options);
         self.artifacts.try_get_or_compute(key, || {
             let profile = self.profile(graph, design);
             PlanArtifacts::from_parts(graph, design.clone(), profile, options, cancel)
@@ -489,7 +516,7 @@ impl Harness {
         budget: Option<u64>,
         cancel: Option<&CancelToken>,
     ) -> Result<Arc<LcmmResult>, LcmmError> {
-        let (run, _) = self.replan_run(graph, base, options, budget, cancel)?;
+        let run = self.replan_run(graph, base, options, budget, cancel)?;
         Ok(Arc::clone(&run.result))
     }
 
@@ -510,11 +537,8 @@ impl Harness {
         cancel: Option<&CancelToken>,
         derive: impl FnOnce(&LcmmResult, &GraphProfile) -> D,
     ) -> Result<(Arc<LcmmResult>, Arc<D>), LcmmError> {
-        let (run, profile_key) = self.replan_run(graph, base, options, budget, cancel)?;
-        let profile = || {
-            self.profiles
-                .get_or_compute(profile_key.clone(), || run.result.design.profile(graph))
-        };
+        let run = self.replan_run(graph, base, options, budget, cancel)?;
+        let profile = || self.profile(graph, &run.result.design);
         let mut derive = Some(derive);
         let slot = run.derived.get_or_init(|| {
             let derive = derive.take().expect("the slot is filled once");
@@ -534,8 +558,7 @@ impl Harness {
         Ok((Arc::clone(&run.result), value))
     }
 
-    /// The memoized run behind [`Harness::try_replan_with_budget`], and
-    /// the profile-cache key of its derated design.
+    /// The memoized run behind [`Harness::try_replan_with_budget`].
     fn replan_run(
         &self,
         graph: &Graph,
@@ -543,31 +566,17 @@ impl Harness {
         options: LcmmOptions,
         budget: Option<u64>,
         cancel: Option<&CancelToken>,
-    ) -> Result<(Arc<MemoRun>, Key), LcmmError> {
+    ) -> Result<Arc<MemoRun>, LcmmError> {
         let options = options.with_tensor_budget(budget);
-        let normalised = options.with_tensor_budget(None);
-        // The derated design is budget-independent, so one derate (and
-        // one design fingerprint) serves the result key, the artifact
-        // key and the profile key; the graph's fingerprint is memoized
-        // on the graph.
+        // The derated design is budget-independent, so one derate
+        // serves the result key and, on a miss, the artifact key.
         let design = Pipeline::new(options).lcmm_design(base.clone());
-        let graph_fp = graph.fingerprint_key();
-        let design_fp = fp(&design);
-        let key = (
-            graph_fp.clone(),
-            format!("{design_fp}\u{1}{}", fp(&options)),
-        );
-        let artifact_key = (
-            graph_fp.clone(),
-            format!("{design_fp}\u{1}{}", fp(&normalised)),
-        );
-        let run = self.results.try_get_or_compute::<LcmmError>(key, || {
-            let artifacts =
-                self.artifacts_keyed(artifact_key, graph, &design, normalised, cancel)?;
-            let result = artifacts.replan_with_budget(graph, budget, cancel)?;
-            Ok(MemoRun::new(run_label(graph, &design, &options), result))
-        })?;
-        Ok((run, (graph_fp.clone(), design_fp)))
+        self.results
+            .try_get_or_compute::<LcmmError>(run_key(graph, &design, options), || {
+                let artifacts = self.derated_artifacts(graph, &design, options, cancel)?;
+                let result = artifacts.replan_with_budget(graph, budget, cancel)?;
+                Ok(MemoRun::new(run_label(graph, &design, &options), result))
+            })
     }
 
     /// Evicts every cached artefact derived from `graph` — designs,
@@ -633,24 +642,34 @@ impl Harness {
     }
 
     /// The full `--profile` report: cache counters plus the run behind
-    /// every memoized result, sorted by label (ties in key order) for
-    /// stable output.
+    /// every memoized result, sorted by label for stable output. Runs
+    /// with equal labels (budget variants of one plan) sort by the
+    /// compact JSON of their inputs, graph first, then the design and
+    /// the options with their budget: the order the report has always
+    /// printed.
     #[must_use]
     pub fn profile_report(&self) -> HarnessProfile {
-        let mut runs: Vec<RunRecord> = self
+        let mut runs: Vec<_> = self
             .results
-            .values()
-            .iter()
-            .map(|run| RunRecord {
-                label: run.label.clone(),
-                stats: run.result.stats,
+            .entries()
+            .into_iter()
+            .map(|((graph, (design, options, budget)), run)| {
+                let inputs = format!(
+                    "{}\u{1}{}",
+                    json(design.get()),
+                    json(&options.get().with_tensor_budget(budget))
+                );
+                (run.label.clone(), graph, inputs, run.result.stats)
             })
             .collect();
-        runs.sort_by(|a, b| a.label.cmp(&b.label));
+        runs.sort_by(|a, b| (&a.0, &a.1, &a.2).cmp(&(&b.0, &b.1, &b.2)));
         HarnessProfile {
             jobs: self.jobs,
             cache: self.cache_stats(),
-            runs,
+            runs: runs
+                .into_iter()
+                .map(|(label, _, _, stats)| RunRecord { label, stats })
+                .collect(),
         }
     }
 }
@@ -970,47 +989,219 @@ mod tests {
     }
 
     #[test]
-    fn keys_are_the_serialized_inputs() {
-        // Keys are the compact JSON of every input, graph included: the
-        // (graph part, rest) pair joined with `\u{1}` is the serialized
-        // inputs, and the graph part shares the graph's memoized text
-        // instead of copying it.
-        fn keys<T>(cache: &Cache<T>) -> Vec<String> {
-            cache
-                .map
-                .lock()
-                .unwrap()
-                .keys()
-                .map(|(graph, rest)| format!("{}\u{1}{rest}", graph.as_str()))
-                .collect()
-        }
+    fn keys_hold_the_inputs() {
+        // Keys hold every input, graph included: serialized, the parts
+        // are the inputs' compact JSON, the options without their
+        // budget, which the key carries apart. The graph part shares
+        // the graph's memoized text instead of copying it.
         let h = Harness::new(1);
         let g = small_graph();
         let device = Device::vu9p();
-        let options = LcmmOptions::default();
+        let options = LcmmOptions::default().with_tensor_budget(Some(1 << 20));
         let base = h.design(&g, &device, Precision::Fix16);
         h.lcmm_with_design(&g, &base, options);
-        let graph = serde_json::to_string(&g).unwrap();
         let design = Pipeline::new(options).lcmm_design((*base).clone());
+        let designs: Vec<_> = h.designs.map.lock().unwrap().keys().cloned().collect();
+        assert_eq!(designs.len(), 1);
+        let (graph, (key_device, precision)) = &designs[0];
+        assert_eq!(graph.as_str(), json(&g));
+        assert_eq!(json(key_device.get()), json(&device));
+        assert_eq!(*precision, Precision::Fix16);
+        let results: Vec<_> = h.results.map.lock().unwrap().keys().cloned().collect();
+        assert_eq!(results.len(), 1);
+        let (graph, (key_design, key_options, budget)) = &results[0];
+        assert!(std::ptr::eq(graph.as_str(), g.fingerprint()));
+        assert_eq!(json(key_design.get()), json(&design));
         assert_eq!(
-            keys(&h.designs),
-            [format!(
-                "{graph}\u{1}{}\u{1}{}",
-                serde_json::to_string(&device).unwrap(),
-                serde_json::to_string(&Precision::Fix16).unwrap()
-            )]
+            json(key_options.get()),
+            json(&options.with_tensor_budget(None))
         );
+        assert_eq!(*budget, Some(1 << 20));
+    }
+
+    #[test]
+    fn equal_inputs_built_separately_share_one_entry() {
+        let h = Harness::new(1);
+        let g = small_graph();
+        let d1 = h.design(&g, &Device::vu9p(), Precision::Fix16);
+        let d2 = h.design(&g, &Device::vu9p(), Precision::Fix16);
+        assert!(Arc::ptr_eq(&d1, &d2));
+        // Partition views built by two calls with equal shares.
+        let part = |shares: &[f64]| Device::vu9p().partition_set(shares).unwrap().remove(0);
+        let p1 = h.design(&g, &part(&[0.5, 0.5]), Precision::Fix16);
+        let p2 = h.design(&g, &part(&[0.5, 0.5]), Precision::Fix16);
+        assert!(Arc::ptr_eq(&p1, &p2));
         assert_eq!(
-            keys(&h.results),
-            [format!(
-                "{graph}\u{1}{}\u{1}{}",
-                serde_json::to_string(&design).unwrap(),
-                serde_json::to_string(&options).unwrap()
-            )]
+            (h.cache_stats().design_misses, h.cache_stats().design_hits),
+            (2, 2)
         );
-        for (graph, _) in h.results.map.lock().unwrap().keys() {
-            assert!(std::ptr::eq(graph.as_str(), g.fingerprint()));
+        // A design rebuilt field by field keys like the cached one.
+        let copy: AccelDesign = serde_json::from_str(&json(&*d1)).unwrap();
+        assert!(Arc::ptr_eq(
+            &h.baseline_from_design(&g, &d1),
+            &h.baseline_from_design(&g, &copy)
+        ));
+        assert!(Arc::ptr_eq(&h.profile(&g, &d1), &h.profile(&g, &copy)));
+        let opts = LcmmOptions::default();
+        let same = LcmmOptions::feature_reuse_only()
+            .with_weight_prefetch(true)
+            .with_splitting(true);
+        let budget = Some(d1.tensor_sram_budget() / 2);
+        let r1 = h
+            .try_replan_with_budget(&g, &d1, opts, budget, None)
+            .unwrap();
+        let r2 = h
+            .try_replan_with_budget(&g, &copy, same.with_tensor_budget(Some(7)), budget, None)
+            .unwrap();
+        assert!(Arc::ptr_eq(&r1, &r2));
+        let a1 = h.try_artifacts(&g, &d1, opts, None).unwrap();
+        let a2 = h
+            .try_artifacts(&g, &copy, same.with_tensor_budget(budget), None)
+            .unwrap();
+        assert!(Arc::ptr_eq(&a1, &a2));
+        let stats = h.cache_stats();
+        assert_eq!((stats.baseline_misses, stats.baseline_hits), (1, 1));
+        assert_eq!((stats.result_misses, stats.result_hits), (1, 1));
+        assert_eq!((stats.artifact_misses, stats.artifact_hits), (1, 2));
+    }
+
+    #[test]
+    fn inputs_whose_json_differs_get_distinct_entries() {
+        let h = Harness::new(1);
+        let g = small_graph();
+        let base = h.design(&g, &Device::vu9p(), Precision::Fix16);
+        // Budgets: `None`, 0 and the largest plan alike (the largest is
+        // clamped to the full budget) but are distinct inputs.
+        let opts = LcmmOptions::default();
+        for budget in [None, Some(0), Some(u64::MAX)] {
+            h.try_replan_with_budget(&g, &base, opts, budget, None)
+                .unwrap();
         }
+        let stats = h.cache_stats();
+        assert_eq!((stats.result_misses, stats.artifact_misses), (3, 1));
+        // Options that differ in one field each.
+        for options in [
+            opts.with_weight_streaming(crate::StreamingMode::Auto),
+            opts.with_fusion(crate::FusionMode::Auto),
+        ] {
+            h.try_replan_with_budget(&g, &base, options, None, None)
+                .unwrap();
+        }
+        let stats = h.cache_stats();
+        assert_eq!((stats.result_misses, stats.artifact_misses), (5, 3));
+        // Clocks of opposite zero signs derate to designs whose JSON
+        // differs, and key apart as options and as designs.
+        let keys: Vec<_> = [Some(0.0), Some(-0.0)]
+            .into_iter()
+            .map(|hz| {
+                let options = opts.with_frequency_hz(hz);
+                run_key(
+                    &g,
+                    &Pipeline::new(options).lcmm_design((*base).clone()),
+                    options,
+                )
+            })
+            .collect();
+        assert_ne!(keys[0], keys[1]);
+        assert_ne!((keys[0].1).0, (keys[1].1).0, "designs differ");
+        assert_ne!((keys[0].1).1, (keys[1].1).1, "options differ");
+        // Designs that differ in one field each.
+        let variants = [
+            AccelDesign {
+                batch: 2,
+                ..(*base).clone()
+            },
+            AccelDesign {
+                granular_ddr: true,
+                ..(*base).clone()
+            },
+            (*base)
+                .clone()
+                .with_tile_budget(lcmm_fpga::TileBudget::default_lcmm()),
+        ];
+        for design in &variants {
+            h.baseline_from_design(&g, design);
+        }
+        h.baseline_from_design(&g, &base);
+        assert_eq!(h.cache_stats().baseline_misses, 4);
+        // Partition views of two share vectors.
+        for shares in [[0.5, 0.5], [0.25, 0.75]] {
+            let part = Device::vu9p().partition_set(&shares).unwrap().remove(0);
+            h.design(&g, &part, Precision::Fix16);
+        }
+        assert_eq!(h.cache_stats().design_misses, 3);
+    }
+
+    #[test]
+    fn profile_report_orders_equal_labels_by_their_serialized_inputs() {
+        let h = Harness::new(1);
+        let g = small_graph();
+        let base = h.design(&g, &Device::vu9p(), Precision::Fix16);
+        let opts = LcmmOptions::default();
+        // Decimal text orders these budgets apart from their values:
+        // "10000000" < "2" < "9999999" < "null".
+        let budgets = [Some(9_999_999), None, Some(2), Some(10_000_000), Some(0)];
+        let stats: Vec<PassStats> = budgets
+            .iter()
+            .map(|&budget| {
+                h.try_replan_with_budget(&g, &base, opts, budget, None)
+                    .unwrap()
+                    .stats
+            })
+            .collect();
+        let mut order: Vec<usize> = (0..budgets.len()).collect();
+        order.sort_by_key(|&i| json(&opts.with_tensor_budget(budgets[i])));
+        let report = h.profile_report();
+        let printed: Vec<PassStats> = report.runs.iter().map(|r| r.stats).collect();
+        let expected: Vec<PassStats> = order.iter().map(|&i| stats[i]).collect();
+        assert_eq!(printed, expected);
+        assert_eq!(
+            order.iter().map(|&i| budgets[i]).collect::<Vec<_>>(),
+            [Some(0), Some(10_000_000), Some(2), Some(9_999_999), None]
+        );
+    }
+
+    #[test]
+    fn invalidate_graph_restores_every_table() {
+        let h = Harness::new(1);
+        let kept = zoo::squeezenet();
+        let device = Device::vu9p();
+        let kept_base = h.design(&kept, &device, Precision::Fix16);
+        h.try_replan_with_budget(&kept, &kept_base, LcmmOptions::default(), None, None)
+            .unwrap();
+        let sizes = |h: &Harness| {
+            [
+                h.designs.len(),
+                h.profiles.len(),
+                h.baselines.len(),
+                h.results.len(),
+                h.artifacts.len(),
+            ]
+        };
+        let before = (h.entry_count(), sizes(&h));
+        let g = small_graph();
+        let part = device.partition_set(&[0.5, 0.5]).unwrap().remove(0);
+        for device in [&device, &part] {
+            let base = h.design(&g, device, Precision::Fix16);
+            h.baseline_from_design(&g, &base);
+            h.try_artifacts(&g, &base, LcmmOptions::default(), None)
+                .unwrap();
+            for budget in [None, Some(1 << 20)] {
+                h.try_replan_with_derived(
+                    &g,
+                    &base,
+                    LcmmOptions::default(),
+                    budget,
+                    None,
+                    |r, _| r.latency,
+                )
+                .unwrap();
+            }
+            h.lcmm_with_design(&g, &base, LcmmOptions::feature_reuse_only());
+        }
+        assert!(h.entry_count() > before.0);
+        h.invalidate_graph(&g);
+        assert_eq!((h.entry_count(), sizes(&h)), before);
     }
 
     #[test]

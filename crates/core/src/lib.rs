@@ -45,6 +45,7 @@ pub mod design_space;
 pub mod energy;
 pub mod error;
 pub mod eval;
+pub mod exact;
 pub mod fusion;
 pub mod harness;
 pub mod interference;
@@ -68,6 +69,7 @@ pub use coplan::{tenant_gain_curve, GainCurve};
 pub use delta::PlanArtifacts;
 pub use error::LcmmError;
 pub use eval::{Evaluator, Residency};
+pub use exact::{Exact, ExactFields};
 pub use fusion::{FusedGroup, FusionMode, FusionPlan};
 pub use harness::Harness;
 pub use pipeline::{AllocatorKind, LcmmOptions, LcmmResult, Pipeline};

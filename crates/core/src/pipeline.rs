@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Which allocator the pipeline uses for the knapsack stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum AllocatorKind {
     /// The paper's DNNK dynamic program (default).
     Dnnk,

@@ -225,7 +225,7 @@ fn exposure_stats(edges: &HashMap<ValueId, PrefetchEdge>) -> (f64, usize) {
 
 /// How the weight-streaming selector runs, as an [`crate::LcmmOptions`]
 /// knob.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum StreamingMode {
     /// The paper's binary residency (default): a weight is pinned whole
     /// or left off chip, so every knapsack row offers only its pinned

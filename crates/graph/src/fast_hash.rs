@@ -127,6 +127,15 @@ impl Default for FnvLanes {
     }
 }
 
+/// Formatting into the lanes hashes the formatted text without
+/// collecting it first.
+impl std::fmt::Write for FnvLanes {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// A `HashMap` keyed through [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
@@ -173,6 +182,9 @@ mod tests {
             "cbf29ce4842223256c62272e07bb0142:0"
         );
         assert!(whole.digest().ends_with(":12"), "{}", whole.digest());
+        let mut formatted = FnvLanes::new();
+        std::fmt::Write::write_fmt(&mut formatted, format_args!("graph\x01{}", "device")).unwrap();
+        assert_eq!(formatted, whole);
     }
 
     #[test]

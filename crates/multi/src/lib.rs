@@ -46,7 +46,7 @@ pub use plan::{joint_capacity_dp, plan_with_shares, pool_bytes};
 pub use search::{search_shares, share_grid};
 pub use summary::coplan_summary;
 
-use lcmm_core::{Harness, LcmmError, LcmmOptions, LcmmResult};
+use lcmm_core::{ExactFields, Harness, LcmmError, LcmmOptions, LcmmResult};
 use lcmm_fpga::{Device, Precision};
 use lcmm_graph::Graph;
 use lcmm_sim::ContentionReport;
@@ -131,6 +131,20 @@ impl Default for CoplanOptions {
             options: LcmmOptions::default(),
             search_steps: 8,
         }
+    }
+}
+
+/// Co-planner configurations key apart exactly where their JSON differs
+/// (see [`lcmm_core::exact`]).
+impl ExactFields for CoplanOptions {
+    type Fields<'a> = (<LcmmOptions as ExactFields>::Fields<'a>, usize);
+
+    fn exact_fields(&self) -> Self::Fields<'_> {
+        let CoplanOptions {
+            options,
+            search_steps,
+        } = self;
+        (options.exact_fields(), *search_steps)
     }
 }
 

@@ -35,22 +35,25 @@
 //!   write-ahead log ([`crate::wal`]) when one is configured, and
 //!   replayed bit-identically on restart.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::fmt::Write as _;
+use std::hash::Hash;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use lcmm_core::{CancelToken, Harness, LcmmError, PassStats};
+use lcmm_core::{CancelToken, Exact, Harness, LcmmError, LcmmOptions, PassStats};
 use lcmm_fpga::{Device, Precision};
 use lcmm_graph::fast_hash::FnvLanes;
 use lcmm_graph::Graph;
 use lcmm_multi::{coplan, coplan_summary, CoplanOptions, TenantSpec};
 use lcmm_workload::histogram::LatencyHistogram;
 use lcmm_workload::ControllerConfig;
+use serde::Serialize;
 use serde_json::Value;
 
 use crate::cache::PlanCache;
@@ -290,6 +293,40 @@ impl Registered {
     }
 }
 
+/// The registered tenants, keyed by model name, with the digest state
+/// over their part of a co-plan key memoized until the next write.
+#[derive(Default)]
+struct Registry {
+    models: BTreeMap<String, Registered>,
+    /// Bumped by every write.
+    generation: u64,
+    /// [`registry_lanes`] over `models` at `generation`, filled by the
+    /// first co-plan or route after a write.
+    lanes: Option<FnvLanes>,
+}
+
+impl Registry {
+    /// Registers `entry` as `model`, returning the entry it replaced.
+    fn insert(&mut self, model: String, entry: Registered) -> Option<Registered> {
+        self.written();
+        self.models.insert(model, entry)
+    }
+
+    /// Unregisters `model`, returning its entry if it was registered.
+    fn remove(&mut self, model: &str) -> Option<Registered> {
+        let removed = self.models.remove(model);
+        if removed.is_some() {
+            self.written();
+        }
+        removed
+    }
+
+    fn written(&mut self) {
+        self.generation += 1;
+        self.lanes = None;
+    }
+}
+
 /// How many graphs that left the registry keep their harness state.
 /// Churn over a fixed set of models then replans from memory, while a
 /// model re-registered with a new graph at every version, or a client
@@ -352,7 +389,7 @@ struct WorkerState {
 struct Inner {
     harness: Harness,
     cache: PlanCache,
-    registry: Mutex<BTreeMap<String, Registered>>,
+    registry: Mutex<Registry>,
     /// Graphs no registered model uses, oldest first, whose harness
     /// state is still kept ([`retire`]). Locked only while `registry`
     /// is held.
@@ -429,9 +466,12 @@ impl Server {
             None => None,
         };
         let inner = Arc::new(Inner {
-            harness: Harness::new(workers),
+            // The worker pool is the daemon's parallelism: a request's
+            // harness maps run on its worker's thread, without spawning
+            // threads of their own.
+            harness: Harness::new(1),
             cache: PlanCache::new(config.cache_capacity),
-            registry: Mutex::new(BTreeMap::new()),
+            registry: Mutex::new(Registry::default()),
             retired: Mutex::new(VecDeque::new()),
             queue: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
@@ -627,8 +667,8 @@ impl Server {
                 let mut registry = lock_safe(&inner.registry);
                 let previous = registry.insert(model.clone(), entry.clone());
                 let identical = previous.as_ref().is_some_and(|old| old.same_as(&entry));
-                let dropped = retire(inner, &registry, previous);
-                (registry.len() as u64, identical, dropped)
+                let dropped = retire(inner, &registry.models, previous);
+                (registry.models.len() as u64, identical, dropped)
             };
             if !identical {
                 // Only co-plans that inlined this model are stale; plans
@@ -671,8 +711,8 @@ impl Server {
                 let mut registry = lock_safe(&inner.registry);
                 let dropped = registry
                     .remove(&model)
-                    .map(|old| retire(inner, &registry, Some(old)));
-                (dropped, registry.len() as u64)
+                    .map(|old| retire(inner, &registry.models, Some(old)));
+                (dropped, registry.models.len() as u64)
             };
             let Some(dropped) = dropped else {
                 // Nothing changed: nothing to log.
@@ -848,7 +888,7 @@ impl Server {
                 ("total".to_string(), h.total.to_value()),
             ])
         };
-        let models = lock_safe(&inner.registry).len();
+        let models = lock_safe(&inner.registry).models.len();
         let wal = match &inner.wal {
             Some(wal) => {
                 let s = lock_safe(wal).stats();
@@ -1003,7 +1043,7 @@ fn snapshot_records(inner: &Inner) -> Vec<WalRecord> {
     let mut out = Vec::new();
     {
         let registry = lock_safe(&inner.registry);
-        for (name, r) in registry.iter() {
+        for (name, r) in &registry.models {
             out.push(WalRecord::Register {
                 model: name.clone(),
                 graph_json: r.graph.fingerprint().to_string(),
@@ -1222,58 +1262,209 @@ fn watcher_loop(inner: &Arc<Inner>, budget: Duration) {
 /// keys. Registry changes invalidate co-plans by their `model:` tags.
 const COPLAN_KEY_PREFIX: &str = "coplan:";
 
-/// Digest of a canonical fingerprint string. Two hex-encoded FNV-1a
-/// passes with independent offsets ([`FnvLanes`]) make accidental
-/// collisions (~2⁻¹²⁸) a non-concern while keeping keys small even for
-/// inline thousand-node graphs.
+/// Digest of a whole key text. Two hex-encoded FNV-1a passes with
+/// independent offsets ([`FnvLanes`]) make accidental collisions
+/// (~2⁻¹²⁸) a non-concern while keeping keys small even for inline
+/// thousand-node graphs. The live keys hash their parts in turn, with
+/// the same result; tests spell keys out whole with this.
+#[cfg(test)]
 fn digest(fingerprint: &str) -> String {
     let mut lanes = FnvLanes::new();
     lanes.write(fingerprint.as_bytes());
     lanes.digest()
 }
 
-/// Cache key of a single-model plan: digest of the canonical JSON
-/// fingerprint of the resolved request. The graph's JSON, up to tens of
-/// KB, comes first, so the digest continues from the lanes memoized
-/// beside the graph's fingerprint and hashes only the small parts.
-fn cache_key(resolved: &ResolvedPlan) -> String {
-    let device = serde_json::to_string(&resolved.device).unwrap_or_default();
-    let precision = serde_json::to_string(&resolved.precision).unwrap_or_default();
-    let options = serde_json::to_string(&resolved.options).unwrap_or_default();
-    let mut lanes = resolved.graph.fingerprint_key().lanes();
-    for part in ["\u{1}", &device, "\u{1}", &precision, "\u{1}", &options] {
-        lanes.write(part.as_bytes());
+/// Compact JSON of a key part.
+fn json<T: Serialize>(value: &T) -> String {
+    serde_json::to_string(value).expect("key parts serialise")
+}
+
+/// A value's compact JSON split around its `tensor_budget`, so a key
+/// hashes the JSON at any budget without serializing the value and
+/// without a part per budget (serve-cold sends a new budget with every
+/// request).
+struct BudgetSplit {
+    /// The JSON up to and including `"tensor_budget":`.
+    head: String,
+    /// The JSON after the budget.
+    tail: String,
+}
+
+impl BudgetSplit {
+    /// Splits the JSON of `value`, whose budget is `None`.
+    fn of<T: Serialize>(value: &T) -> Self {
+        const FIELD: &str = "\"tensor_budget\":";
+        let text = json(value);
+        let at = text.find(FIELD).expect("the value has a tensor_budget") + FIELD.len();
+        assert!(
+            text[at..].starts_with("null") && !text[at..].contains(FIELD),
+            "one unset tensor_budget in {text}"
+        );
+        Self {
+            head: text[..at].to_string(),
+            tail: text[at + "null".len()..].to_string(),
+        }
     }
+
+    /// Hashes the value's JSON at `budget`.
+    fn write(&self, lanes: &mut FnvLanes, budget: Option<u64>) {
+        lanes.write(self.head.as_bytes());
+        match budget {
+            Some(budget) => {
+                let _ = write!(lanes, "{budget}");
+            }
+            None => lanes.write(b"null"),
+        }
+        lanes.write(self.tail.as_bytes());
+    }
+}
+
+/// Compact JSON of the key parts other than graphs and budgets,
+/// serialized once per distinct value and shared by every server in the
+/// process. Parts are looked up by exact value ([`Exact`]), so a memo
+/// can never answer another value's JSON.
+#[derive(Default)]
+struct KeyParts {
+    devices: HashMap<Exact<Device>, String>,
+    precisions: HashMap<Precision, String>,
+    options: HashMap<Exact<LcmmOptions>, BudgetSplit>,
+    coplan_options: HashMap<Exact<CoplanOptions>, BudgetSplit>,
+}
+
+/// Parts a [`KeyParts`] table holds before it starts over. The wire
+/// names three devices and three precisions, and its option fields
+/// span 192 values once the budget is left out, so only a caller
+/// outside the wire reaches this.
+const KEY_PARTS_CAP: usize = 1024;
+
+/// `table`'s value for `key`, made and stored on first use.
+fn memo<K: Eq + Hash, V>(table: &mut HashMap<K, V>, key: K, make: impl FnOnce() -> V) -> &V {
+    if table.len() >= KEY_PARTS_CAP && !table.contains_key(&key) {
+        table.clear();
+    }
+    table.entry(key).or_insert_with(make)
+}
+
+impl KeyParts {
+    fn device(&mut self, device: &Device) -> &[u8] {
+        memo(&mut self.devices, Exact::new(device.clone()), || {
+            json(device)
+        })
+        .as_bytes()
+    }
+
+    fn precision(&mut self, precision: Precision) -> &[u8] {
+        memo(&mut self.precisions, precision, || json(&precision)).as_bytes()
+    }
+
+    fn options(&mut self, options: &LcmmOptions) -> &BudgetSplit {
+        let options = options.with_tensor_budget(None);
+        memo(&mut self.options, Exact::new(options), || {
+            BudgetSplit::of(&options)
+        })
+    }
+
+    fn coplan_options(&mut self, opts: &CoplanOptions) -> &BudgetSplit {
+        let opts = opts.with_options(opts.options.with_tensor_budget(None));
+        memo(&mut self.coplan_options, Exact::new(opts), || {
+            BudgetSplit::of(&opts)
+        })
+    }
+}
+
+/// The process's [`KeyParts`].
+fn key_parts() -> MutexGuard<'static, KeyParts> {
+    static PARTS: OnceLock<Mutex<KeyParts>> = OnceLock::new();
+    lock_safe(PARTS.get_or_init(Mutex::default))
+}
+
+/// Cache key of a single-model plan: digest of the canonical JSON
+/// fingerprint of the resolved request, the graph's, the device's, the
+/// precision's and the options' joined by `\u{1}`. The graph's JSON,
+/// up to tens of KB, comes first, so the digest continues from the
+/// lanes memoized beside the graph's fingerprint; the other parts are
+/// read from [`KeyParts`].
+fn cache_key(resolved: &ResolvedPlan) -> String {
+    let mut lanes = resolved.graph.fingerprint_key().lanes();
+    let mut parts = key_parts();
+    lanes.write(b"\x01");
+    lanes.write(parts.device(&resolved.device));
+    lanes.write(b"\x01");
+    lanes.write(parts.precision(resolved.precision));
+    lanes.write(b"\x01");
+    parts
+        .options(&resolved.options)
+        .write(&mut lanes, resolved.options.tensor_budget);
     lanes.digest()
+}
+
+/// The digest state over the registry part of a co-plan key: every
+/// registered model's name, graph, precision, weight and share.
+fn registry_lanes(registry: &[(String, Registered)]) -> FnvLanes {
+    let mut lanes = FnvLanes::new();
+    for (name, r) in registry {
+        let _ = write!(lanes, "{name}\u{1}");
+        lanes.write(r.graph.fingerprint().as_bytes());
+        lanes.write(b"\x01");
+        lanes.write(key_parts().precision(r.precision));
+        let _ = write!(lanes, "\u{1}{}\u{1}{:?}\u{2}", r.weight, r.share);
+    }
+    lanes
 }
 
 /// Cache key of a co-plan: covers the *full tenant set* — every
 /// registered model's name, graph, precision, weight and share — plus
 /// the device and options, so any registry change resolves to a new
 /// key (a forced miss) even before the `model:` tag invalidation
-/// reclaims the stale entries.
+/// reclaims the stale entries. The key bytes are stored in WAL records,
+/// so they never change. The live path continues [`coplan_key`] from
+/// the registry's memoized digest state instead; tests pin both to this
+/// from-scratch form.
+#[cfg(test)]
 fn coplan_cache_key(
     registry: &[(String, Registered)],
     device: &Device,
     opts: &CoplanOptions,
 ) -> String {
-    let mut fingerprint = String::new();
-    for (name, r) in registry {
-        fingerprint.push_str(&format!(
-            "{}\u{1}{}\u{1}{}\u{1}{}\u{1}{:?}\u{2}",
-            name,
-            r.graph.fingerprint(),
-            serde_json::to_string(&r.precision).unwrap_or_default(),
-            r.weight,
-            r.share,
-        ));
-    }
-    fingerprint.push_str(&format!(
-        "{}\u{1}{}",
-        serde_json::to_string(device).unwrap_or_default(),
-        serde_json::to_string(opts).unwrap_or_default(),
-    ));
-    format!("{COPLAN_KEY_PREFIX}{}", digest(&fingerprint))
+    coplan_key(registry_lanes(registry), device, opts)
+}
+
+/// `coplan_cache_key` continued from the digest state over its
+/// registry part.
+fn coplan_key(mut lanes: FnvLanes, device: &Device, opts: &CoplanOptions) -> String {
+    let mut parts = key_parts();
+    lanes.write(parts.device(device));
+    lanes.write(b"\x01");
+    parts
+        .coplan_options(opts)
+        .write(&mut lanes, opts.options.tensor_budget);
+    format!("{COPLAN_KEY_PREFIX}{}", lanes.digest())
+}
+
+/// The registered tenants in name order and the digest state over their
+/// part of a co-plan key. The state is hashed from the graphs' JSON
+/// only by the first call after a registry write, outside the registry
+/// lock, and kept for the calls after it unless another write came in
+/// between.
+fn registry_snapshot(inner: &Inner) -> (Vec<(String, Registered)>, FnvLanes) {
+    let (models, generation, lanes) = {
+        let registry = lock_safe(&inner.registry);
+        let models: Vec<_> = registry
+            .models
+            .iter()
+            .map(|(name, r)| (name.clone(), r.clone()))
+            .collect();
+        (models, registry.generation, registry.lanes)
+    };
+    let lanes = lanes.unwrap_or_else(|| {
+        let lanes = registry_lanes(&models);
+        let mut registry = lock_safe(&inner.registry);
+        if registry.generation == generation {
+            registry.lanes = Some(lanes);
+        }
+        lanes
+    });
+    (models, lanes)
 }
 
 /// The routed slice of a co-plan summary: the entry of `tenants` whose
@@ -1466,13 +1657,7 @@ fn process_coplan(inner: &Arc<Inner>, job: &Job) -> String {
         inner.plans_errored.fetch_add(1, Ordering::Relaxed);
         WireResponse::from_error(request.id, err).to_line_v(request.v)
     };
-    let registry: Vec<(String, Registered)> = {
-        let registry = lock_safe(&inner.registry);
-        registry
-            .iter()
-            .map(|(name, r)| (name.clone(), r.clone()))
-            .collect()
-    };
+    let (registry, registry_lanes) = registry_snapshot(inner);
     if registry.is_empty() {
         return answer_err(&LcmmError::InvalidRequest(
             "no models registered; register tenants before co-planning".to_string(),
@@ -1499,7 +1684,7 @@ fn process_coplan(inner: &Arc<Inner>, job: &Job) -> String {
         Err(err) => return answer_err(&err),
     };
     let opts = CoplanOptions::default().with_options(options);
-    let key = coplan_cache_key(&registry, &device, &opts);
+    let key = coplan_key(registry_lanes, &device, &opts);
     if let Some(stored) = inner.cache.get(&key) {
         let line = match &route_model {
             // A route answers one tenant's slice, so it reads the stored
@@ -1602,15 +1787,22 @@ fn process_workload(inner: &Arc<Inner>, job: &Job) -> String {
     let trace = request.trace.as_deref().unwrap_or("bursty2");
     let controller = ControllerConfig::default().with_enabled(request.controller.unwrap_or(true));
     let cacheable = trace == "bursty2" || trace.contains(':');
+    // The digest of `{models}\u{1}{precision}\u{1}{device}\u{1}{options}
+    // \u{1}{trace}\u{1}{controller}\u{1}{steps}`, the JSON parts read
+    // from [`KeyParts`].
     let key = cacheable.then(|| {
-        let fingerprint = format!(
-            "{models}\u{1}{}\u{1}{}\u{1}{}\u{1}{trace}\u{1}{}\u{1}{steps}",
-            serde_json::to_string(&precision).unwrap_or_default(),
-            serde_json::to_string(&device).unwrap_or_default(),
-            serde_json::to_string(&opts.options).unwrap_or_default(),
-            controller.enabled,
-        );
-        format!("{WORKLOAD_KEY_PREFIX}{}", digest(&fingerprint))
+        let mut lanes = FnvLanes::new();
+        let mut parts = key_parts();
+        let _ = write!(lanes, "{models}\u{1}");
+        lanes.write(parts.precision(precision));
+        lanes.write(b"\x01");
+        lanes.write(parts.device(&device));
+        lanes.write(b"\x01");
+        parts
+            .options(&opts.options)
+            .write(&mut lanes, opts.options.tensor_budget);
+        let _ = write!(lanes, "\u{1}{trace}\u{1}{}\u{1}{steps}", controller.enabled);
+        format!("{WORKLOAD_KEY_PREFIX}{}", lanes.digest())
     });
     if let Some(stored) = key.as_ref().and_then(|k| inner.cache.get(k)) {
         inner.plans_completed.fetch_add(1, Ordering::Relaxed);
@@ -1889,6 +2081,82 @@ mod tests {
             coplan_cache_key(&registry, &device, &opts),
             format!("{COPLAN_KEY_PREFIX}{}", digest(&fingerprint))
         );
+    }
+
+    /// The co-plan key a co-plan or route builds from the registry's
+    /// memoized digest state equals the key built from scratch after
+    /// every kind of registry write, WAL replay included.
+    #[test]
+    fn memoized_coplan_keys_follow_every_registry_write() {
+        let dir = std::env::temp_dir().join(format!("lcmm_coplan_key_memo_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = || ServerConfig::default().with_workers(1).with_wal_dir(&dir);
+        let device = Device::vu9p();
+        let opts = CoplanOptions::default();
+        let key = |server: &Server, after: &str| {
+            let (registry, lanes) = registry_snapshot(&server.inner);
+            let live = coplan_key(lanes, &device, &opts);
+            assert_eq!(
+                live,
+                coplan_cache_key(&registry, &device, &opts),
+                "after {after}"
+            );
+            // The next read answers from the memo, and keys alike.
+            assert!(lock_safe(&server.inner.registry).lanes.is_some());
+            let (_, memoized) = registry_snapshot(&server.inner);
+            assert_eq!(coplan_key(memoized, &device, &opts), live, "after {after}");
+            live
+        };
+        let server = Server::start(config());
+        let ok = |line: &str| {
+            let reply = server.handle_line(line);
+            assert!(reply.contains("\"ok\":true"), "{line}: {reply}");
+        };
+        ok(r#"{"op":"register","model":"axn","graph":"alexnet","share":0.4}"#);
+        ok(r#"{"op":"register","model":"sqz","graph":"squeezenet","share":0.4}"#);
+        let mut last = key(&server, "two registers");
+        for (write, line, changes) in [
+            (
+                "a no-op register",
+                r#"{"op":"register","model":"sqz","graph":"squeezenet","share":0.4}"#,
+                false,
+            ),
+            (
+                "a new graph",
+                r#"{"op":"register","model":"sqz","graph":"mobilenet","share":0.4}"#,
+                true,
+            ),
+            (
+                "a new precision",
+                r#"{"op":"register","model":"sqz","graph":"mobilenet","precision":"8","share":0.4}"#,
+                true,
+            ),
+            (
+                "a new weight",
+                r#"{"op":"register","model":"sqz","graph":"mobilenet","precision":"8","weight":2.0,"share":0.4}"#,
+                true,
+            ),
+            (
+                "a new share",
+                r#"{"op":"register","model":"sqz","graph":"mobilenet","precision":"8","weight":2.0,"share":0.3}"#,
+                true,
+            ),
+            (
+                "an unregister",
+                r#"{"op":"unregister","model":"axn"}"#,
+                true,
+            ),
+        ] {
+            ok(line);
+            let next = key(&server, write);
+            assert_eq!(next != last, changes, "{write} changes the key");
+            last = next;
+        }
+        server.shutdown();
+        let revived = Server::start(config());
+        assert_eq!(key(&revived, "a WAL replay"), last);
+        revived.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Registry churn over ever-new graphs keeps the harness bounded: a

@@ -212,3 +212,67 @@ fn replayed_plan_values_answer_as_they_always_have() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A co-plan key is the digest of its parts' compact JSON, spelled out
+/// whole here: a co-plan a WAL holds under that key replays as a hit,
+/// both for the first co-plan after the restart, which hashes the
+/// replayed registry, and for the next, which reads the digest state
+/// the first one memoized.
+#[test]
+fn wal_coplan_keys_are_digests_of_the_serialized_parts() {
+    use lcmm_fpga::{Device, Precision};
+    use lcmm_graph::fast_hash::FnvLanes;
+    use lcmm_graph::zoo;
+    use lcmm_multi::CoplanOptions;
+
+    fn json<T: serde::Serialize>(value: &T) -> String {
+        serde_json::to_string(value).expect("key parts serialise")
+    }
+    let dir = wal_dir("coplan_key");
+    {
+        let server = Server::start(config(&dir));
+        for line in [
+            r#"{"op":"register","model":"axn","graph":"alexnet","share":0.4}"#,
+            r#"{"op":"register","model":"sqz","graph":"squeezenet","precision":"8","share":0.3}"#,
+            r#"{"op":"register","model":"sqz","graph":"squeezenet","precision":"8","share":0.5}"#,
+            r#"{"op":"unregister","model":"axn"}"#,
+            r#"{"op":"register","model":"mbn","graph":"mobilenet","weight":2.0,"share":0.25}"#,
+        ] {
+            let reply = server.handle_line(line);
+            assert!(reply.contains("\"ok\":true"), "{line}: {reply}");
+        }
+        server.shutdown();
+    }
+    // The registry in name order, then the device and the options.
+    let mut parts = String::new();
+    for (name, graph, precision, weight, share) in [
+        ("mbn", zoo::mobilenet(), Precision::Fix16, 2.0, Some(0.25)),
+        ("sqz", zoo::squeezenet(), Precision::Fix8, 1.0, Some(0.5)),
+    ] {
+        parts.push_str(&format!(
+            "{name}\u{1}{}\u{1}{}\u{1}{}\u{1}{:?}\u{2}",
+            json(&graph),
+            json(&precision),
+            weight,
+            share,
+        ));
+    }
+    parts.push_str(&format!(
+        "{}\u{1}{}",
+        json(&Device::vu9p()),
+        json(&CoplanOptions::default())
+    ));
+    let mut lanes = FnvLanes::new();
+    lanes.write(parts.as_bytes());
+    let key = format!("coplan:{}", lanes.digest());
+    append_plan_put(&dir, &key, r#"{"stored":"by hand"}"#);
+    let revived = Server::start(config(&dir));
+    for _ in 0..2 {
+        assert_eq!(
+            revived.handle_line(r#"{"op":"coplan"}"#),
+            r#"{"cached":true,"ok":true,"plan":{"stored":"by hand"}}"#
+        );
+    }
+    revived.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
